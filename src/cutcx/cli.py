@@ -18,7 +18,7 @@ import time
 from .complements import q_profile_bruteforce, q_profile_closed
 from .complexes import f_vector_bruteforce, face_enumerator_closed, nonface_layers
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
-from .graphs import CapacityError, parse_graph
+from .graphs import CapacityError, is_squared_path, parse_graph
 from .homology import PrimeField
 from .verification import SCOPES, RunReport, run_jobs, scope_jobs, seed_jobs, worker_count
 
@@ -272,7 +272,9 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, str]:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read graph file: {exc}") from None
-    graph = parse_graph(text)
+    graph = parse_graph(text, scan="brute-force f-vector")
+    if args.connectivity == "gap" and not is_squared_path(graph):
+        raise ValueError("--connectivity gap is only valid for squared paths; use bfs")
     fv = f_vector_bruteforce(graph, args.k, method=args.method, connectivity=args.connectivity)
     profile = q_profile_bruteforce(graph, args.k, connectivity=args.connectivity)
     if args.format == "json":

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .complements import z_count
+from .complexes import face_enumerator_closed
 from .polynomials import Polynomial, RationalGenFun, backward_difference, binom
 
 
@@ -43,22 +44,46 @@ def beta_k5(n: int) -> int:
     return 6 + 20 * binom(m, 1) + 21 * binom(m, 2) + 7 * binom(m, 3) + binom(m, 4)
 
 
+def _times_linear(coeffs: list[int], a: int) -> list[int]:
+    """Ascending integer coefficients multiplied by (x + a)."""
+    out = [0] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i] += a * c
+        out[i + 1] += c
+    return out
+
+
 def diagonal_poly(r: int) -> Polynomial:
     """The codimension-r diagonal of beta_closed as a polynomial in k.
 
     Built from falling-factorial binomials: C(k+r-1, r) minus the weighted
-    window sum of C(k-1, j) plus the constant r.  Degree is exactly r-1;
+    window sum of C(k-1, j) plus the constant r.  The sum is formed times r!
+    in integers: r! C(k+r-1, r) is k(k+1)...(k+r-1), and r! C(k-1, j) is
+    (r!/j!) (k-1)(k-2)...(k-j), each falling factorial the previous one
+    times (k-j); one division by r! ends it.  Degree is exactly r-1;
     integer-valuedness at integers is asserted before returning.
     """
     if r < 3:
         raise ValueError(f"need r >= 3, got r={r}")
-    p = Polynomial.binomial(r - 1, r) + Polynomial.constant(r)
+    scale = factorial(r)
+    num = [1]
+    for m in range(r):
+        num = _times_linear(num, m)
+    num[0] += r * scale
+    falling = [1]
+    weight = scale  # r!/j!
     for j in range(r + 1):
-        p = p - (r - j + 1) * Polynomial.binomial(-1, j)
+        if j:
+            falling = _times_linear(falling, -j)
+            weight //= j
+        for i, c in enumerate(falling):
+            num[i] -= (r - j + 1) * weight * c
+    p = Polynomial([Fraction(c, scale) for c in num])
     if p.degree != r - 1:
         raise RuntimeError(f"internal error: diagonal polynomial degree {p.degree} != {r - 1}")
+    scaled = Polynomial(num)
     for k in range(0, r + 1):
-        if not isinstance(p(k), int):
+        if scaled(k) % scale:
             raise RuntimeError(f"internal error: diagonal polynomial not integer at k={k}")
     return p
 
@@ -151,18 +176,21 @@ def sharp_difference(r: int) -> int:
 def diagonal_genfun(r: int) -> RationalGenFun:
     """Ordinary generating function of the codimension-r diagonal over k >= 1.
 
-    The numerator over (1-x)^r comes from resumming the defining binomials;
-    it is rebuilt here from that identity and then re-verified against the
-    diagonal polynomial through 50 series terms before being returned.
+    The numerator over (1-x)^r comes from resumming the defining binomials:
+    x(1 + x + ... + x^(r-1)) + r x (1-x)^(r-1) minus the sum over j < r of
+    (r-j+1) x^(j+1) (1-x)^(r-j-1), each power written out by the binomial
+    theorem.  It is then re-verified against the diagonal polynomial through
+    50 series terms before being returned.
     """
     if r < 3:
         raise ValueError(f"need r >= 3, got r={r}")
-    x = Polynomial.x()
-    one_minus_x = Polynomial([1, -1])
-    num = x * Polynomial([1] * r)
-    num = num + r * x * one_minus_x ** (r - 1)
-    for j in range(r):
-        num = num - (r - j + 1) * Polynomial.monomial(1, j + 1) * one_minus_x ** (r - j - 1)
+    coeffs = [0] + [1] * r
+    # (c, s, e) stands for c x^s (1-x)^e, whose x^(s+i) coefficient is c (-1)^i C(e, i).
+    terms = [(r, 1, r - 1)] + [(-(r - j + 1), j + 1, r - j - 1) for j in range(r)]
+    for c, s, e in terms:
+        for i in range(e + 1):
+            coeffs[s + i] += (-c if i & 1 else c) * binom(e, i)
+    num = Polynomial(coeffs)
     if not num.is_integral:
         raise RuntimeError(f"internal error: generating function numerator {num!r} not integral")
     gf = RationalGenFun(numerator=num, pole_order=r)
@@ -178,18 +206,23 @@ def diagonal_genfun(r: int) -> RationalGenFun:
 def h_polynomial(k: int, n: int) -> Polynomial:
     """h-polynomial of the squared-path k-cut complex (integer coefficients).
 
-    The standard (1-t)-twisted resummation of the face enumerator, with the
-    run and connected-set corrections landing at degrees r-1 and r.
+    The standard (1-t)-twisted resummation sum_p f_p t^p (1-t)^(r-p) of the
+    face enumerator, whose run and connected-set corrections sit at degrees
+    r-1 and r.  It is folded by Horner's rule in (1-t), the f-to-h triangle:
+    acc <- acc (1-t) + f_p t^p, which costs O(r^2) integer additions.
     """
     if not 2 <= k <= n - 2:
         raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
     r = n - k
-    one_minus_t = Polynomial([1, -1])
-    h = Polynomial()
+    faces = face_enumerator_closed(k, n)
+    acc: list[int] = []
     for p in range(r + 1):
-        h = h + binom(n, p) * Polynomial.monomial(1, p) * one_minus_t ** (r - p)
-    h = h - Polynomial.monomial(r, r - 1)
-    h = h + Polynomial.monomial(r - z_count(k, n), r)
+        prev = 0
+        for i, c in enumerate(acc):
+            acc[i] = c - prev
+            prev = c
+        acc.append(faces.coefficient(p) - prev)
+    h = Polynomial(acc)
     if not h.is_integral:
         raise RuntimeError(f"internal error: h-polynomial {h!r} not integral")
     if h.coefficient(0) != 1:

@@ -117,11 +117,13 @@ def gap_connected(subset: Iterable[int]) -> bool:
     return all(b - a <= 2 for a, b in zip(s, s[1:]))
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, scan: str | None = None) -> Graph:
     """Parse the line format 'n <count>' then 'e <u> <v>' per edge.
 
     Blank lines are allowed; any other line is rejected.  The header must
-    come first and appear exactly once.
+    come first and appear exactly once.  When `scan` names the exhaustive
+    scan the graph is read for, the vertex count is checked against the
+    full-scan limit before the graph, whose size is linear in it, is built.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -151,6 +153,8 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise ValueError("missing 'n <count>' header")
+    if scan is not None:
+        require_full_scan_capacity(n, scan)
     return Graph(n, edges)
 
 

@@ -23,6 +23,9 @@ def binom(a: int, b: int) -> int:
 
 
 def _norm(c: Scalar) -> Scalar:
+    # Plain ints dominate; test them before the slower ABC-backed isinstance.
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         if c.denominator == 1:
             return int(c)
@@ -143,11 +146,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
+        """Power by square-and-multiply: O(log e) products."""
         if e < 0:
             raise ValueError("negative power")
         out = Polynomial.constant(1)
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __call__(self, v: Scalar) -> Scalar:

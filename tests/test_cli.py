@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from cutcx import verification
+from cutcx import graphs, verification
 from cutcx.cli import main
 
 GOLDEN_TABLE = """\
@@ -255,6 +255,28 @@ class TestGraph:
         code, _, err = run(capsys, "graph", str(path), "--k", "4")
         assert code == 3
         assert err.startswith("error:")
+
+    def test_oversized_header_refused_before_graph_is_built(self, capsys, tmp_path, monkeypatch):
+        def refuse(self, n, edges=()):
+            raise AssertionError(f"Graph({n}) built before the capacity check")
+
+        monkeypatch.setattr(graphs.Graph, "__init__", refuse)
+        path = tmp_path / "huge.graph"
+        path.write_text("n 300000", encoding="utf-8")
+        code, _, err = run(capsys, "graph", str(path), "--k", "3")
+        assert code == 3
+        assert "n <= 24" in err
+
+    def test_gap_on_non_squared_path_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "p6.graph"
+        path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
+        code, out, err = run(capsys, "graph", str(path), "--k", "3", "--connectivity", "gap")
+        assert code == 2
+        assert out == ""
+        assert "squared paths" in err
+        code, out, _ = run(capsys, "graph", str(path), "--k", "3", "--connectivity", "bfs", "--no-timing")
+        assert code == 0
+        assert "p=2 f=15\np=3 f=16\n" in out
 
 
 class TestVerify:

@@ -225,6 +225,51 @@ def h_coefficients_reference(k: int, n: int) -> list[int]:
     return out
 
 
+def h_polynomial_by_products(k: int, n: int) -> Polynomial:
+    """Independent product route: sum_p C(n,p) t^p (1-t)^(r-p), then the corrections."""
+    r = n - k
+    one_minus_t = Polynomial([1, -1])
+    h = Polynomial()
+    for p in range(r + 1):
+        h = h + binom(n, p) * Polynomial.monomial(1, p) * one_minus_t ** (r - p)
+    h = h - Polynomial.monomial(r, r - 1)
+    return h + Polynomial.monomial(r - z_count(k, n), r)
+
+
+def diagonal_poly_by_products(r: int) -> Polynomial:
+    """Independent product route: each C(x-1, j) rebuilt from its falling factorial."""
+    p = Polynomial.binomial(r - 1, r) + Polynomial.constant(r)
+    for j in range(r + 1):
+        p = p - (r - j + 1) * Polynomial.binomial(-1, j)
+    return p
+
+
+def genfun_numerator_by_products(r: int) -> Polynomial:
+    """Independent product route: the resummed numerator with (1-x) powers by **."""
+    x = Polynomial.x()
+    one_minus_x = Polynomial([1, -1])
+    num = x * Polynomial([1] * r) + r * x * one_minus_x ** (r - 1)
+    for j in range(r):
+        num = num - (r - j + 1) * Polynomial.monomial(1, j + 1) * one_minus_x ** (r - j - 1)
+    return num
+
+
+class TestProductRoutes:
+    def test_h_polynomial_small_range(self):
+        for n in range(4, 25):
+            for k in range(2, n - 1):
+                assert h_polynomial(k, n) == h_polynomial_by_products(k, n), (k, n)
+
+    @pytest.mark.parametrize("k,n", [(3, 150), (4, 100), (10, 110)])
+    def test_h_polynomial_large(self, k, n):
+        assert h_polynomial(k, n) == h_polynomial_by_products(k, n)
+
+    def test_diagonal_poly_and_genfun_numerator(self):
+        for r in range(3, 21):
+            assert diagonal_poly(r) == diagonal_poly_by_products(r), r
+            assert diagonal_genfun(r).numerator == genfun_numerator_by_products(r), r
+
+
 class TestHPolynomial:
     def test_frozen_case(self):
         assert h_polynomial(4, 7).coeff_list() == [1, 4, 7, 3]

@@ -135,6 +135,12 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_graph("n 3\nwhat is this")
 
+    def test_scan_checks_vertex_count_before_building(self):
+        with pytest.raises(CapacityError, match="f-vector"):
+            parse_graph("n 25\ne 1 2", scan="f-vector")
+        assert parse_graph("n 24\ne 1 2", scan="f-vector").n == 24
+        assert parse_graph("n 25\ne 1 2").edge_count == 1
+
 
 class TestCapacity:
     def test_full_scans_refused_past_limit(self):

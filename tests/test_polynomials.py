@@ -51,6 +51,16 @@ class TestArithmetic:
         assert one_plus_x ** 3 == Polynomial([1, 3, 3, 1])
         assert (one_plus_x - one_plus_x).is_zero
 
+    @pytest.mark.parametrize(
+        "coeffs", [[], [3], [1, -1], [Fraction(1, 2), 0, -2], [0, 0, 1], [2, Fraction(-1, 3), 1]]
+    )
+    def test_power_matches_repeated_products(self, coeffs):
+        p = Polynomial(coeffs)
+        product = Polynomial.constant(1)
+        for e in range(13):
+            assert p ** e == product, e
+            product = product * p
+
     def test_scalar_multiplication(self):
         assert 3 * Polynomial([1, 2]) == Polynomial([3, 6])
         assert Polynomial([2, 4]) * Fraction(1, 2) == Polynomial([1, 2])
