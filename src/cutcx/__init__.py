@@ -64,7 +64,6 @@ from .homology import (
     build_chain_complex,
     composition_vanishes,
     is_prime,
-    rank_gf2,
     rank_mod_p,
     verify_concentration,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "parse_graph",
     "q_profile_bruteforce",
     "q_profile_closed",
-    "rank_gf2",
     "rank_mod_p",
     "reduced_euler",
     "sharp_difference",

@@ -235,7 +235,7 @@ def hilbert_series(k: int, n: int) -> RationalGenFun:
     return RationalGenFun(numerator=h_polynomial(k, n), pole_order=n - k)
 
 
-TABLE_PROVENANCES = ("closed-form", "homology-oracle")
+TABLE_PROVENANCES = ("closed-form",)
 
 
 @dataclass(frozen=True)

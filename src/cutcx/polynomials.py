@@ -272,8 +272,3 @@ class RationalGenFun:
 
     def text(self, var: str = "x") -> str:
         return f"numerator={self.numerator.text(var)}\npole_order={self.pole_order}"
-
-
-def alternating_binomial_sum(n: int, d: int) -> int:
-    """sum_{p=0}^{d} (-1)^p C(n,p), which telescopes to (-1)^d C(n-1,d)."""
-    return sum((-1) ** p * binom(n, p) for p in range(d + 1))

@@ -30,7 +30,7 @@ from .formulas import (
 )
 from .graphs import FULL_SCAN_LIMIT, CapacityError, squared_path
 from .homology import verify_concentration
-from .polynomials import binom
+from .polynomials import RationalGenFun, binom
 
 # Frozen reference values for the top Betti number along diagonals
 # r = 3..6, k = 3..10; independent anchor for the table commands.
@@ -258,7 +258,7 @@ def hilbert_jobs(n_max_closed: int = 40, n_max_series: int = 10) -> list[Job]:
                     bad.append(f"k={k}: h_0 = {h.coefficient(0)}")
                 if h.coefficient(r) != beta_closed(k, n):
                     bad.append(f"k={k}: h_{r} = {h.coefficient(r)} != {beta_closed(k, n)}")
-                first = hilbert_series(k, n).series(2)[1]
+                first = RationalGenFun(numerator=h, pole_order=r).series(2)[1]
                 want = n if r >= 3 else n - 2
                 if first != want:
                     bad.append(f"k={k}: degree-1 value {first} != {want}")

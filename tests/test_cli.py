@@ -6,10 +6,15 @@ failure, 2 usage, 3 capacity.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutcx
 from cutcx import graphs, verification
 from cutcx.cli import main
 
@@ -368,3 +373,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--format", "xml"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_cli_import_loads_only_the_standard_library(self):
+        # A fresh interpreter with site-packages off (-S): the CLI must start
+        # with no third-party package installed or loaded.
+        env = dict(os.environ)
+        src = str(Path(cutcx.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, cutcx.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} - set(sys.stdlib_module_names)))"
+        )
+        result = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "['__main__', 'cutcx']\n"

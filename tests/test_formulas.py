@@ -354,4 +354,5 @@ class TestBettiTable:
             BettiTable(entries={(3, 3): 1}, provenance="guesswork")
         with pytest.raises(ValueError):
             BettiTable(entries={(3, 3): -1}, provenance="closed-form")
-        BettiTable(entries={(3, 3): 1}, provenance="homology-oracle")
+        with pytest.raises(ValueError):
+            BettiTable(entries={(3, 3): 1}, provenance="homology-oracle")

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from cutcx.polynomials import (
     Polynomial,
     RationalGenFun,
-    alternating_binomial_sum,
     backward_difference,
     binom,
 )
@@ -121,11 +120,6 @@ class TestBackwardDifference:
         for s in range(0, m + 1):
             assert backward_difference(p, s) == Polynomial.binomial(a - s, m - s)
         assert backward_difference(p, m + 1).is_zero
-
-    @given(st.integers(1, 80), st.integers(0, 79))
-    def test_alternating_binomial_telescopes(self, n, d):
-        d = min(d, n - 1)
-        assert alternating_binomial_sum(n, d) == (-1) ** d * binom(n - 1, d)
 
 
 class TestRendering:
