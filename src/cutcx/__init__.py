@@ -31,7 +31,6 @@ from .formulas import (
     BettiTable,
     RecurrenceCheck,
     RecurrenceEntry,
-    backward_diff,
     beta_closed,
     beta_k4,
     beta_k5,
@@ -87,7 +86,6 @@ __all__ = [
     "RationalGenFun",
     "RecurrenceCheck",
     "RecurrenceEntry",
-    "backward_diff",
     "backward_difference",
     "beta_closed",
     "beta_k4",

@@ -4,6 +4,10 @@ Payloads are deterministic: identical invocations give identical bytes.
 Timing appears only in a trailing '# elapsed' footer that --no-timing
 suppresses.  Exit codes: 0 success, 1 verification failure, 2 usage
 error, 3 capacity exceeded.
+
+Each handler computes its result and returns (exit code, view).  A view
+maps each format to a thunk building that format's value: a JSON-ready
+object, CSV rows, or the text payload without its last newline.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import io
 import json
 import sys
 import time
+from typing import Any, Callable
 
 from .complements import q_profile_bruteforce, q_profile_closed
 from .complexes import f_vector_bruteforce, face_enumerator_closed, nonface_layers
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
 from .graphs import CapacityError, is_squared_path, parse_graph
 from .homology import PrimeField
-from .verification import SCOPES, RunReport, run_jobs, scope_jobs, seed_jobs, worker_count
+from .verification import SCOPES, RunReport, run_jobs, scope_jobs, seed_jobs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -28,19 +33,19 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 FORMATS = ("text", "json", "csv")
-ENUM_KINDS = ("faceenum", "hpoly", "hilbert", "genfun", "layers", "profile")
 SERIES_HEAD_TERMS = 8
 
-
-def _emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+View = dict[str, Callable[[], Any]]
 
 
-def _emit_csv(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(fmt: str, value: Any) -> str:
+    if fmt == "json":
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(value)
+        return buf.getvalue()
+    return value + "\n"
 
 
 def _parse_primes(raw: str) -> tuple[int, ...]:
@@ -55,218 +60,135 @@ def _parse_primes(raw: str) -> tuple[int, ...]:
     return primes
 
 
+# -- enum kinds: one view builder per payload shape --------------------------
+
+
+def _poly_view(poly, var: str) -> View:
+    coeffs = poly.coeff_list()
+    return {
+        "json": lambda: {"coefficients": coeffs, "text": poly.text(var)},
+        "csv": lambda: [["degree", "coefficient"], *enumerate(coeffs)],
+        "text": lambda: poly.text(var),
+    }
+
+
+def _genfun_view(gf, var: str) -> View:
+    numerator = gf.numerator.coeff_list()
+    series = gf.series(SERIES_HEAD_TERMS)
+    return {
+        "json": lambda: {"numerator_coefficients": numerator, "pole_order": gf.pole_order, "series_head": series},
+        "csv": lambda: [
+            ["field", "index", "value"],
+            *(["numerator", d, c] for d, c in enumerate(numerator)),
+            ["pole_order", "", gf.pole_order],
+            *(["series_head", d, v] for d, v in enumerate(series)),
+        ],
+        "text": lambda: gf.text(var) + "\nseries_head=" + " ".join(map(str, series)),
+    }
+
+
+def _layers_view(layers) -> View:
+    return {
+        "json": lambda: {"r": layers.r, "level_rminus1": layers.level_rminus1, "level_r_by_j": layers.level_r_by_j},
+        "csv": lambda: [
+            ["level", "j", "set"],
+            *(["r-1", "", " ".join(map(str, s))] for s in layers.level_rminus1),
+            *(["r", j, " ".join(map(str, s))] for j, group in enumerate(layers.level_r_by_j) for s in group),
+        ],
+        "text": layers.to_text,
+    }
+
+
+def _profile_view(profile) -> View:
+    return {
+        "json": lambda: {"counts": [{"m": m, "q": q} for m, q in sorted(profile.counts.items())]},
+        "csv": lambda: [["m", "q"], *sorted(profile.counts.items())],
+        "text": profile.to_text,
+    }
+
+
+# kind -> (argument names, view builder).  The builders call the library
+# functions through lambdas, so each call looks the name up in this module
+# and a wrapper patched in here (bench/tracer.py does so) takes effect.
+ENUM_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., View]]] = {
+    "faceenum": (("k", "n"), lambda k, n: _poly_view(face_enumerator_closed(k, n), "x")),
+    "hpoly": (("k", "n"), lambda k, n: _poly_view(h_polynomial(k, n), "t")),
+    "hilbert": (("k", "n"), lambda k, n: _genfun_view(hilbert_series(k, n), "t")),
+    "genfun": (("r",), lambda r: _genfun_view(diagonal_genfun(r), "x")),
+    "layers": (("k", "n"), lambda k, n: _layers_view(nonface_layers(k, n))),
+    "profile": (("k", "n"), lambda k, n: _profile_view(q_profile_closed(k, n))),
+}
+
+
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_table(args: argparse.Namespace) -> tuple[int, View]:
     if not (2 <= args.r_min <= args.r_max and 2 <= args.k_min <= args.k_max):
         raise ValueError("table needs 2 <= r-min <= r-max and 2 <= k-min <= k-max")
     table = BettiTable.from_closed(
         range(args.k_min, args.k_max + 1), range(args.r_min, args.r_max + 1)
     )
-    if args.format == "json":
-        payload = {
+
+    def rows() -> list[list[int]]:
+        return [[r, *(table.value(k, r) for k in table.k_values)] for r in table.r_values]
+
+    return EXIT_OK, {
+        "json": lambda: {
             "command": "table",
             "provenance": table.provenance,
             "k_values": table.k_values,
             "r_values": table.r_values,
-            "rows": [
-                {"r": r, "values": [table.value(k, r) for k in table.k_values]}
-                for r in table.r_values
-            ],
-        }
-        return EXIT_OK, _emit_json(payload)
-    if args.format == "csv":
-        rows = [["r\\k", *table.k_values]]
-        rows += [[r, *(table.value(k, r) for k in table.k_values)] for r in table.r_values]
-        return EXIT_OK, _emit_csv(rows)
-    return EXIT_OK, table.to_text_grid() + "\n"
+            "rows": [{"r": r, "values": values} for r, *values in rows()],
+        },
+        "csv": lambda: [["r\\k", *table.k_values], *rows()],
+        "text": table.to_text_grid,
+    }
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, View]:
     primes = _parse_primes(args.primes)
     if args.seed_check:
         scope, n_max = "seed-check", 9
-        jobs = seed_jobs()
+        jobs = seed_jobs(primes)
     else:
         scope, n_max = args.scope, args.n_max
         jobs = scope_jobs(scope, n_max, primes)
-    start = time.perf_counter()
-    checks = run_jobs(jobs, worker_count())
-    report = RunReport(
-        command="verify",
-        scope=scope,
-        n_max=n_max,
-        primes=primes,
-        checks=checks,
-        elapsed=time.perf_counter() - start,
-    )
-    code = EXIT_OK if report.ok else EXIT_VERIFY
-    if args.format == "json":
-        payload = {
+    report = RunReport(scope=scope, n_max=n_max, primes=primes, checks=run_jobs(jobs))
+    checks = report.checks
+    return EXIT_OK if report.ok else EXIT_VERIFY, {
+        "json": lambda: {
             "command": "verify",
-            "scope": report.scope,
-            "n_max": report.n_max,
-            "primes": list(report.primes),
-            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks],
+            "scope": scope,
+            "n_max": n_max,
+            "primes": primes,
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
             "passed": report.passed,
             "failed": report.failed,
-        }
-        return code, _emit_json(payload)
-    if args.format == "csv":
-        rows = [["name", "ok", "detail"]]
-        rows += [[c.name, "pass" if c.ok else "fail", c.detail] for c in report.checks]
-        return code, _emit_csv(rows)
-    lines = [
-        (f"PASS {c.name}" if c.ok else f"FAIL {c.name}: {c.detail}") for c in report.checks
-    ]
-    lines.append(
-        f"checks={len(report.checks)} passed={report.passed} failed={report.failed}"
-        f" scope={report.scope} n_max={report.n_max} primes={','.join(map(str, report.primes))}"
-    )
-    return code, "\n".join(lines) + "\n"
+        },
+        "csv": lambda: [
+            ["name", "ok", "detail"],
+            *([c.name, "pass" if c.ok else "fail", c.detail] for c in checks),
+        ],
+        "text": lambda: "\n".join([
+            *(f"PASS {c.name}" if c.ok else f"FAIL {c.name}: {c.detail}" for c in checks),
+            f"checks={len(checks)} passed={report.passed} failed={report.failed}"
+            f" scope={scope} n_max={n_max} primes={','.join(map(str, primes))}",
+        ]),
+    }
 
 
-def _enum_args(kind: str, values: list[int]) -> tuple[int, ...]:
-    want = 1 if kind == "genfun" else 2
-    if len(values) != want:
-        names = "r" if kind == "genfun" else "k n"
-        raise ValueError(f"enum {kind} takes {want} argument(s): {names}")
-    return tuple(values)
+def cmd_enum(args: argparse.Namespace) -> tuple[int, View]:
+    names, build = ENUM_KINDS[args.kind]
+    if len(args.values) != len(names):
+        raise ValueError(f"enum {args.kind} takes {len(names)} argument(s): {' '.join(names)}")
+    view = build(*args.values)
+    head = {"command": "enum", "kind": args.kind, **dict(zip(names, args.values))}
+    body = view["json"]
+    return EXIT_OK, {**view, "json": lambda: {**head, **body()}}
 
 
-def cmd_enum(args: argparse.Namespace) -> tuple[int, str]:
-    kind = args.kind
-    if kind == "genfun":
-        (r,) = _enum_args(kind, args.values)
-        gf = diagonal_genfun(r)
-        series = gf.series(SERIES_HEAD_TERMS)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "r": r,
-                    "numerator_coefficients": gf.numerator.coeff_list(),
-                    "pole_order": gf.pole_order,
-                    "series_head": series,
-                }
-            )
-        if args.format == "csv":
-            rows = [["field", "index", "value"]]
-            rows += [["numerator", d, c] for d, c in enumerate(gf.numerator.coeff_list())]
-            rows.append(["pole_order", "", gf.pole_order])
-            rows += [["series_head", d, v] for d, v in enumerate(series)]
-            return EXIT_OK, _emit_csv(rows)
-        head = " ".join(map(str, series))
-        return EXIT_OK, gf.text("x") + f"\nseries_head={head}\n"
-
-    k, n = _enum_args(kind, args.values)
-    if kind == "faceenum":
-        poly = face_enumerator_closed(k, n)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "k": k,
-                    "n": n,
-                    "coefficients": poly.coeff_list(),
-                    "text": poly.text("x"),
-                }
-            )
-        if args.format == "csv":
-            rows = [["degree", "coefficient"]]
-            rows += [[d, c] for d, c in enumerate(poly.coeff_list())]
-            return EXIT_OK, _emit_csv(rows)
-        return EXIT_OK, poly.text("x") + "\n"
-    if kind == "hpoly":
-        poly = h_polynomial(k, n)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "k": k,
-                    "n": n,
-                    "coefficients": poly.coeff_list(),
-                    "text": poly.text("t"),
-                }
-            )
-        if args.format == "csv":
-            rows = [["degree", "coefficient"]]
-            rows += [[d, c] for d, c in enumerate(poly.coeff_list())]
-            return EXIT_OK, _emit_csv(rows)
-        return EXIT_OK, poly.text("t") + "\n"
-    if kind == "hilbert":
-        hs = hilbert_series(k, n)
-        series = hs.series(SERIES_HEAD_TERMS)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "k": k,
-                    "n": n,
-                    "numerator_coefficients": hs.numerator.coeff_list(),
-                    "pole_order": hs.pole_order,
-                    "series_head": series,
-                }
-            )
-        if args.format == "csv":
-            rows = [["field", "index", "value"]]
-            rows += [["numerator", d, c] for d, c in enumerate(hs.numerator.coeff_list())]
-            rows.append(["pole_order", "", hs.pole_order])
-            rows += [["series_head", d, v] for d, v in enumerate(series)]
-            return EXIT_OK, _emit_csv(rows)
-        head = " ".join(map(str, series))
-        return EXIT_OK, hs.text("t") + f"\nseries_head={head}\n"
-    if kind == "layers":
-        layers = nonface_layers(k, n)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "k": k,
-                    "n": n,
-                    "r": layers.r,
-                    "level_rminus1": [list(s) for s in layers.level_rminus1],
-                    "level_r_by_j": [
-                        [list(s) for s in group] for group in layers.level_r_by_j
-                    ],
-                }
-            )
-        if args.format == "csv":
-            rows = [["level", "j", "set"]]
-            rows += [["r-1", "", " ".join(map(str, s))] for s in layers.level_rminus1]
-            for j, group in enumerate(layers.level_r_by_j):
-                rows += [["r", j, " ".join(map(str, s))] for s in group]
-            return EXIT_OK, _emit_csv(rows)
-        return EXIT_OK, layers.to_text() + "\n"
-    if kind == "profile":
-        profile = q_profile_closed(k, n)
-        if args.format == "json":
-            return EXIT_OK, _emit_json(
-                {
-                    "command": "enum",
-                    "kind": kind,
-                    "k": k,
-                    "n": n,
-                    "counts": [
-                        {"m": m, "q": profile.counts[m]} for m in range(k, n + 1)
-                    ],
-                }
-            )
-        if args.format == "csv":
-            rows = [["m", "q"]]
-            rows += [[m, profile.counts[m]] for m in range(k, n + 1)]
-            return EXIT_OK, _emit_csv(rows)
-        return EXIT_OK, profile.to_text() + "\n"
-    raise ValueError(f"unknown enum kind {kind!r}")
-
-
-def cmd_graph(args: argparse.Namespace) -> tuple[int, str]:
+def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
     try:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
@@ -277,30 +199,23 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError("--connectivity gap is only valid for squared paths; use bfs")
     fv = f_vector_bruteforce(graph, args.k, method=args.method, connectivity=args.connectivity)
     profile = q_profile_bruteforce(graph, args.k, connectivity=args.connectivity)
-    if args.format == "json":
-        payload = {
+    meta = {"n": graph.n, "k": args.k, "edge_count": graph.edge_count}
+    return EXIT_OK, {
+        "json": lambda: {
             "command": "graph",
-            "n": graph.n,
-            "k": args.k,
-            "edge_count": graph.edge_count,
-            "f_vector": {
-                "void": fv.is_void,
-                "counts": None if fv.is_void else list(fv.counts),
-            },
-            "profile": [{"m": m, "q": profile.counts[m]} for m in sorted(profile.counts)],
-        }
-        return EXIT_OK, _emit_json(payload)
-    if args.format == "csv":
-        rows = [["section", "key", "value"]]
-        rows.append(["meta", "n", graph.n])
-        rows.append(["meta", "k", args.k])
-        rows.append(["meta", "edge_count", graph.edge_count])
-        rows.append(["f_vector", "void", "true" if fv.is_void else "false"])
-        if not fv.is_void:
-            rows += [["f_vector", p, c] for p, c in enumerate(fv.counts)]
-        rows += [["profile", m, profile.counts[m]] for m in sorted(profile.counts)]
-        return EXIT_OK, _emit_csv(rows)
-    return EXIT_OK, "[f_vector]\n" + fv.to_text() + "\n[profile]\n" + profile.to_text() + "\n"
+            **meta,
+            "f_vector": {"void": fv.is_void, "counts": fv.counts},
+            "profile": [{"m": m, "q": q} for m, q in sorted(profile.counts.items())],
+        },
+        "csv": lambda: [
+            ["section", "key", "value"],
+            *(["meta", key, value] for key, value in meta.items()),
+            ["f_vector", "void", "true" if fv.is_void else "false"],
+            *(["f_vector", p, c] for p, c in enumerate(fv.counts or ())),
+            *(["profile", m, q] for m, q in sorted(profile.counts.items())),
+        ],
+        "text": lambda: f"[f_vector]\n{fv.to_text()}\n[profile]\n{profile.to_text()}",
+    }
 
 
 # -- entry point -------------------------------------------------------------
@@ -352,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code, output = args.handler(args)
+        code, view = args.handler(args)
+        output = _render(args.format, view[args.format]())
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -71,18 +71,7 @@ def is_bad(graph: Graph, k: int, subset: Iterable[int], connectivity: str | None
         raise ValueError(f"set of size {len(c)} cannot be tested for k={k}")
     if c[0] < 1 or c[-1] > graph.n:
         raise ValueError(f"vertex set {c} leaves the range 1..{graph.n}")
-    conn = connectivity_test(graph, connectivity)
-    s = len(c) - k
-    if s >= 2:
-        # Try the spread witness first: its first two members sit s+1 apart,
-        # so on a squared path it is disconnected and settles the test at once.
-        witness = (c[0],) + c[s + 1 : s + k]
-        if not conn(witness):
-            return False
-    for t in combinations(c, k):
-        if not conn(t):
-            return False
-    return True
+    return _all_k_subsets_connected(c, k, connectivity_test(graph, connectivity))
 
 
 def q_profile_bruteforce(graph: Graph, k: int, connectivity: str | None = None) -> BadProfile:
@@ -95,16 +84,22 @@ def q_profile_bruteforce(graph: Graph, k: int, connectivity: str | None = None) 
     counts: dict[int, int] = {}
     vertices = range(1, n + 1)
     for m in range(k, n + 1):
-        counts[m] = sum(1 for c in combinations(vertices, m) if _is_bad_fast(c, k, conn))
+        counts[m] = sum(1 for c in combinations(vertices, m) if _all_k_subsets_connected(c, k, conn))
     return BadProfile(k=k, n=n, counts=counts)
 
 
-def _is_bad_fast(c: tuple[int, ...], k: int, conn: Callable[[tuple[int, ...]], bool]) -> bool:
+def _all_k_subsets_connected(c: tuple[int, ...], k: int, conn: Callable[[tuple[int, ...]], bool]) -> bool:
+    """The bad-set test proper, on a canonical set with a resolved engine."""
     s = len(c) - k
     if s >= 2:
+        # Try the spread witness first: its first two members sit s+1 apart,
+        # so on a squared path it is disconnected and settles the test at once.
         if not conn((c[0],) + c[s + 1 : s + k]):
             return False
-    return all(conn(t) for t in combinations(c, k))
+    for t in combinations(c, k):
+        if not conn(t):
+            return False
+    return True
 
 
 def z_count(k: int, n: int) -> int:

@@ -95,11 +95,6 @@ def leading_coefficient(r: int) -> Fraction:
     return Fraction(r - 2, factorial(r - 1))
 
 
-def backward_diff(p: Polynomial, s: int = 1) -> Polynomial:
-    """s-fold backward difference p(k) - p(k-1), iterated."""
-    return backward_difference(p, s)
-
-
 @dataclass(frozen=True)
 class RecurrenceEntry:
     """One evaluated instance of the order-r alternating recurrence."""
@@ -146,7 +141,7 @@ def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     if k_max < r + 3:
         raise ValueError(f"need k_max >= r+3, got k_max={k_max}, r={r}")
     poly = diagonal_poly(r)
-    symbolic_zero = backward_diff(poly, r).is_zero
+    symbolic_zero = backward_difference(poly, r).is_zero
     entries: list[RecurrenceEntry] = []
     for k in range(3, r + 3):
         value = sum((-1) ** i * binom(r, i) * poly(k - i) for i in range(r + 1))
@@ -164,7 +159,7 @@ def sharp_difference(r: int) -> int:
     """
     if r < 3:
         raise ValueError(f"need r >= 3, got r={r}")
-    p = backward_diff(diagonal_poly(r), r - 1)
+    p = backward_difference(diagonal_poly(r), r - 1)
     if p.degree > 0:
         raise RuntimeError(f"internal error: order {r - 1} difference is not constant: {p!r}")
     c = p.coefficient(0)

@@ -48,9 +48,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(self.adj[u]) for u in range(1, self.n + 1)) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

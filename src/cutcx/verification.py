@@ -7,8 +7,6 @@ frozen here independently of beta_closed and anchors the table checks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
@@ -55,14 +53,12 @@ class CheckResult:
 
 @dataclass
 class RunReport:
-    """Everything a verify run produced: echo, ranges, verdicts, timing."""
+    """Everything a verify run produced: echo, ranges and verdicts."""
 
-    command: str
     scope: str
     n_max: int
     primes: tuple[int, ...]
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> int:
@@ -77,33 +73,13 @@ class RunReport:
         return self.failed == 0
 
 
-def worker_count() -> int:
-    """Worker cap for fanned-out checks; CUTCX_THREADS lowers it."""
-    workers = min(8, os.cpu_count() or 1)
-    raw = os.environ.get("CUTCX_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"CUTCX_THREADS must be a positive integer, got {raw!r}") from None
-        if cap < 1:
-            raise ValueError(f"CUTCX_THREADS must be a positive integer, got {raw!r}")
-        workers = min(workers, cap)
-    return workers
-
-
 Job = tuple[str, Callable[[], CheckResult]]
 
 
-def run_jobs(jobs: Sequence[Job], workers: int | None = None) -> list[CheckResult]:
-    """Execute named check thunks, possibly fanned out; order follows submission."""
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(jobs) <= 1:
-        return [thunk() for _, thunk in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(thunk) for _, thunk in jobs]
-        return [f.result() for f in futures]
+def run_jobs(jobs: Sequence[Job], _workers: object = None) -> list[CheckResult]:
+    """Run named check thunks in order."""
+    # _workers is ignored: bench/tracer.py's run_jobs wrapper still passes a worker count.
+    return [thunk() for _, thunk in jobs]
 
 
 def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -285,6 +261,8 @@ def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
     """Assemble the job list for one verify scope (or all of them)."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
+    if n_max < 4:
+        raise ValueError(f"n_max must be at least 4, the smallest n checked, got {n_max}")
     if n_max > FULL_SCAN_LIMIT:
         raise CapacityError(f"n_max={n_max} exceeds the supported limit {FULL_SCAN_LIMIT}")
     jobs: list[Job] = []
@@ -305,7 +283,7 @@ def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
     return jobs
 
 
-def seed_jobs() -> list[Job]:
+def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:
     """Minimal fast suite: table reproduction, small recurrences, small homology."""
     jobs = table_jobs()
     for r in range(3, 6):
@@ -313,7 +291,7 @@ def seed_jobs() -> list[Job]:
             cert = verify_recurrence(r, r + 10)
             return _check(f"seed recurrence r={r}", cert.ok, "recurrence failed")
         jobs.append((f"seed recurrence r={r}", run))
-    jobs += homology_jobs(9, (2, 3))
+    jobs += homology_jobs(9, primes)
     return jobs
 
 

@@ -8,7 +8,7 @@ FAIL line and re-raises, so the gate can never pass silently.
 import time
 
 from cutcx import (
-    backward_diff,
+    backward_difference,
     beta_closed,
     beta_k4,
     beta_k5,
@@ -120,7 +120,7 @@ def test_criterion_04_homology_concentration(capsys):
 def test_criterion_05_recurrence(capsys):
     def body():
         for r in range(3, 9):
-            assert backward_diff(diagonal_poly(r), r).is_zero, r
+            assert backward_difference(diagonal_poly(r), r).is_zero, r
             cert = verify_recurrence(r, 40)
             assert cert.symbolic_zero and cert.ok, r
             assert max(e.k for e in cert.entries) == 40

@@ -1,8 +1,9 @@
 """End-to-end CLI coverage driven through main(argv).
 
-Byte-level goldens pin the text payloads; JSON payloads must round-trip
-to themselves under a sorted re-dump.  Exit codes: 0 ok, 1 verification
-failure, 2 usage, 3 capacity.
+Byte-level goldens pin the text payloads and, for every payload shape,
+the JSON and CSV bytes; JSON payloads must round-trip to themselves under
+a sorted re-dump.  Exit codes: 0 ok, 1 verification failure, 2 usage,
+3 capacity.
 """
 
 import json
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,92 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pretty(payload) -> str:
+    """The documented JSON layout: two-space indent, sorted keys, trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+PROFILE_CHECKS = [f"profile k={k} n={n}" for n in range(4, 7) for k in range(2, n - 1)]
+
+# (argv, exact stdout) for every payload shape: JSON and CSV of each enum
+# kind, the table, a verify run and a graph scan (non-void and void).
+BYTE_GOLDENS = [
+    (("enum", "faceenum", "4", "7", "--format", "json"),
+     '{\n  "coefficients": [\n    1,\n    7,\n    18,\n    15\n  ],\n  "command": "enum",\n'
+     '  "k": 4,\n  "kind": "faceenum",\n  "n": 7,\n  "text": "1 + 7x + 18x^2 + 15x^3"\n}\n'),
+    (("enum", "faceenum", "4", "7", "--format", "csv"), "degree,coefficient\n0,1\n1,7\n2,18\n3,15\n"),
+    (("enum", "hpoly", "4", "7", "--format", "json"),
+     pretty({"command": "enum", "kind": "hpoly", "k": 4, "n": 7,
+             "coefficients": [1, 4, 7, 3], "text": "1 + 4t + 7t^2 + 3t^3"})),
+    (("enum", "hpoly", "4", "7", "--format", "csv"), "degree,coefficient\n0,1\n1,4\n2,7\n3,3\n"),
+    (("enum", "hilbert", "4", "7", "--format", "json"),
+     pretty({"command": "enum", "kind": "hilbert", "k": 4, "n": 7,
+             "numerator_coefficients": [1, 4, 7, 3], "pole_order": 3,
+             "series_head": [1, 7, 25, 58, 106, 169, 247, 340]})),
+    (("enum", "hilbert", "4", "7", "--format", "csv"),
+     "field,index,value\nnumerator,0,1\nnumerator,1,4\nnumerator,2,7\nnumerator,3,3\n"
+     "pole_order,,3\nseries_head,0,1\nseries_head,1,7\nseries_head,2,25\nseries_head,3,58\n"
+     "series_head,4,106\nseries_head,5,169\nseries_head,6,247\nseries_head,7,340\n"),
+    (("enum", "genfun", "4", "--format", "json"),
+     pretty({"command": "enum", "kind": "genfun", "r": 4,
+             "numerator_coefficients": [0, 0, 0, 3, -1], "pole_order": 4,
+             "series_head": [0, 0, 0, 3, 11, 26, 50, 85]})),
+    (("enum", "genfun", "4", "--format", "csv"),
+     "field,index,value\nnumerator,0,0\nnumerator,1,0\nnumerator,2,0\nnumerator,3,3\n"
+     "numerator,4,-1\npole_order,,4\nseries_head,0,0\nseries_head,1,0\nseries_head,2,0\n"
+     "series_head,3,3\nseries_head,4,11\nseries_head,5,26\nseries_head,6,50\nseries_head,7,85\n"),
+    (("enum", "layers", "2", "5", "--format", "json"),
+     pretty({"command": "enum", "kind": "layers", "k": 2, "n": 5, "r": 3,
+             "level_rminus1": [[4, 5], [1, 5], [1, 2]],
+             "level_r_by_j": [[[1, 2, 3], [1, 2, 5], [1, 4, 5], [3, 4, 5]],
+                              [[1, 2, 4], [1, 3, 5], [2, 4, 5]]]})),
+    (("enum", "layers", "2", "5", "--format", "csv"),
+     "level,j,set\nr-1,,4 5\nr-1,,1 5\nr-1,,1 2\nr,0,1 2 3\nr,0,1 2 5\nr,0,1 4 5\n"
+     "r,0,3 4 5\nr,1,1 2 4\nr,1,1 3 5\nr,1,2 4 5\n"),
+    (("enum", "profile", "4", "7", "--format", "json"),
+     pretty({"command": "enum", "kind": "profile", "k": 4, "n": 7,
+             "counts": [{"m": 4, "q": 20}, {"m": 5, "q": 3}, {"m": 6, "q": 0}, {"m": 7, "q": 0}]})),
+    (("enum", "profile", "4", "7", "--format", "csv"), "m,q\n4,20\n5,3\n6,0\n7,0\n"),
+    (("table", "--format", "json"),
+     pretty({"command": "table", "provenance": "closed-form",
+             "k_values": [3, 4, 5, 6, 7, 8, 9, 10], "r_values": [3, 4, 5, 6],
+             "rows": [{"r": 3, "values": [1, 3, 6, 10, 15, 21, 28, 36]},
+                      {"r": 4, "values": [3, 11, 26, 50, 85, 133, 196, 276]},
+                      {"r": 5, "values": [6, 25, 67, 145, 275, 476, 770, 1182]},
+                      {"r": 6, "values": [10, 46, 136, 324, 674, 1274, 2240, 3720]}]})),
+    (("verify", "--scope", "profile", "--n-max", "6", "--format", "json"),
+     pretty({"command": "verify", "scope": "profile", "n_max": 6, "primes": [2, 3],
+             "checks": [{"name": name, "ok": True, "detail": ""} for name in PROFILE_CHECKS],
+             "passed": 6, "failed": 0})),
+    (("verify", "--scope", "profile", "--n-max", "6", "--format", "csv"),
+     "name,ok,detail\n" + "".join(f"{name},pass,\n" for name in PROFILE_CHECKS)),
+    (("graph", "P7_SQUARED", "--k", "4", "--format", "json"),
+     pretty({"command": "graph", "n": 7, "k": 4, "edge_count": 11,
+             "f_vector": {"void": False, "counts": [1, 7, 18, 15]},
+             "profile": [{"m": 4, "q": 20}, {"m": 5, "q": 3}, {"m": 6, "q": 0}, {"m": 7, "q": 0}]})),
+    (("graph", "P7_SQUARED", "--k", "6", "--format", "json"),
+     pretty({"command": "graph", "n": 7, "k": 6, "edge_count": 11,
+             "f_vector": {"void": True, "counts": None},
+             "profile": [{"m": 6, "q": 7}, {"m": 7, "q": 1}]})),
+    (("graph", "P7_SQUARED", "--k", "6", "--format", "csv"),
+     "section,key,value\nmeta,n,7\nmeta,k,6\nmeta,edge_count,11\nf_vector,void,true\n"
+     "profile,6,7\nprofile,7,1\n"),
+    (("graph", "P7_SQUARED", "--k", "6"),
+     "[f_vector]\nk=6 n=7\nvoid=true\n[profile]\nk=6 n=7\nm=6 q=7\nm=7 q=1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", BYTE_GOLDENS, ids=[" ".join(argv) for argv, _ in BYTE_GOLDENS])
+def test_byte_golden(capsys, tmp_path, argv, expected):
+    if argv[0] == "graph":
+        path = tmp_path / "p7.graph"
+        path.write_text(P7_SQUARED, encoding="utf-8")
+        argv = ("graph", str(path), *argv[2:])
+    code, out, err = run(capsys, *argv, "--no-timing")
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 class TestTable:
@@ -344,18 +432,25 @@ class TestVerify:
         assert code == 3
         assert err.startswith("error:")
 
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUTCX_THREADS", "1")
-        code, out, _ = run(capsys, "verify", "--scope", "profile", "--n-max", "6", "--no-timing")
-        assert code == 0
-        assert out.rstrip("\n").split("\n")[-1].startswith("checks=6 passed=6 failed=0")
+    def test_seed_check_runs_homology_over_the_given_primes(self, capsys, monkeypatch):
+        seen = set()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_cap_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("CUTCX_THREADS", value)
-        code, _, err = run(capsys, "verify", "--scope", "profile", "--n-max", "6")
+        def fake(k, n, primes):
+            seen.add(primes)
+            return types.SimpleNamespace(ok=True, mismatches=[])
+
+        monkeypatch.setattr(verification, "verify_concentration", fake)
+        code, out, _ = run(capsys, "verify", "--seed-check", "--primes", "5", "--no-timing")
+        assert code == 0
+        assert out.rstrip("\n").split("\n")[-1].endswith("primes=5")
+        assert seen == {(5,)}
+
+    @pytest.mark.parametrize("n_max", ["3", "0", "-5"])
+    def test_n_max_below_four_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "--scope", "homology", "--n-max", n_max)
         assert code == 2
-        assert "CUTCX_THREADS" in err
+        assert out == ""
+        assert "at least 4" in err
 
 
 class TestParser:

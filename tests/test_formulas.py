@@ -17,7 +17,7 @@ import pytest
 from cutcx import (
     BettiTable,
     Polynomial,
-    backward_diff,
+    backward_difference,
     beta_closed,
     beta_k4,
     beta_k5,
@@ -147,7 +147,7 @@ class TestRecurrence:
             cert = verify_recurrence(r, 40)
             assert cert.ok
             assert cert.symbolic_zero
-            assert backward_diff(diagonal_poly(r), r).is_zero
+            assert backward_difference(diagonal_poly(r), r).is_zero
 
     def test_windows_are_labelled(self):
         cert = verify_recurrence(4, 12)
@@ -180,7 +180,7 @@ class TestSharpness:
 
     def test_one_fewer_difference_never_kills(self):
         for r in range(3, 10):
-            assert not backward_diff(diagonal_poly(r), r - 1).is_zero
+            assert not backward_difference(diagonal_poly(r), r - 1).is_zero
 
 
 class TestGeneratingFunctions:
