@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .complements import connectivity_test, is_bad, q_profile_bruteforce, z_count
+from .complements import _all_k_subsets_connected, connectivity_test, q_profile_bruteforce, z_count
+from .complements import is_bad  # unused here; kept because bench/tracer.py wraps complexes.is_bad
 from .graphs import Graph, canonical_vertex_set, require_full_scan_capacity, squared_path
 from .polynomials import Polynomial, binom
 
@@ -109,11 +110,24 @@ def is_face(graph: Graph, k: int, face: Iterable[int], connectivity: str | None 
     f = canonical_vertex_set(face)
     if f and (f[0] < 1 or f[-1] > n):
         raise ValueError(f"vertex set {f} leaves the range 1..{n}")
-    members = set(f)
-    comp = tuple(v for v in range(1, n + 1) if v not in members)
-    if len(comp) < k:
-        return False
-    return not is_bad(graph, k, comp, connectivity)
+    return _face_test(graph, k, connectivity)(f)
+
+
+def _face_test(graph: Graph, k: int, connectivity: str | None = None) -> Callable[[tuple[int, ...]], bool]:
+    """The face test with its engine resolved once, for scans over many sets.
+
+    The predicate takes canonical tuples inside 1..n and skips is_face's
+    validation; it makes the same bad-set test on the same complement.
+    """
+    conn = connectivity_test(graph, connectivity)
+    vertices = tuple(range(1, graph.n + 1))
+
+    def face(f: tuple[int, ...]) -> bool:
+        members = set(f)
+        comp = tuple(v for v in vertices if v not in members)
+        return len(comp) >= k and not _all_k_subsets_connected(comp, k, conn)
+
+    return face
 
 
 def f_vector_bruteforce(
@@ -136,10 +150,8 @@ def f_vector_bruteforce(
         raise ValueError(f"unknown method {method!r}; expected one of {F_VECTOR_METHODS}")
     require_full_scan_capacity(n, "brute-force f-vector")
     if method == "powerset":
-        counts = [
-            sum(1 for f in combinations(range(1, n + 1), p) if is_face(graph, k, f, connectivity))
-            for p in range(n - k + 1)
-        ]
+        face = _face_test(graph, k, connectivity)
+        counts = [sum(1 for f in combinations(range(1, n + 1), p) if face(f)) for p in range(n - k + 1)]
     else:
         profile = q_profile_bruteforce(graph, k, connectivity)
         counts = [binom(n, p) - profile.q(n - p) for p in range(n - k + 1)]
@@ -198,9 +210,9 @@ def nonface_layers(k: int, n: int) -> NonfaceLayers:
                 group.append(tuple(v for v in vertices if v not in members))
         group.sort()
         level_r_by_j.append(tuple(group))
-    graph = squared_path(n)
+    face = _face_test(squared_path(n), k)
     for s in level_rminus1 + [t for g in level_r_by_j for t in g]:
-        if is_face(graph, k, s):
+        if face(s):
             raise RuntimeError(f"internal error: constructed nonface {s} tested as a face for k={k}, n={n}")
     return NonfaceLayers(
         k=k,
@@ -228,9 +240,10 @@ def faces_by_dimension(graph: Graph, k: int, connectivity: str | None = None) ->
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "face enumeration")
+    face = _face_test(graph, k, connectivity)
     out: list[list[tuple[int, ...]]] = []
     for p in range(1, n - k + 1):
-        layer = [f for f in combinations(range(1, n + 1), p) if is_face(graph, k, f, connectivity)]
+        layer = [f for f in combinations(range(1, n + 1), p) if face(f)]
         if not layer:
             break
         out.append(layer)

@@ -7,10 +7,12 @@ characteristic matches the signed closed form, and the two constructed
 nonface layers are exactly the nonfaces at cardinalities r-1 and r.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 
+import cutcx.complements
 from cutcx import (
     FVector,
     Graph,
@@ -224,3 +226,68 @@ class TestFacesByDimension:
     def test_no_vertices_cases(self):
         assert faces_by_dimension(complete_graph(4), 2) == []
         assert faces_by_dimension(Graph(4, []), 4) == []
+
+
+class TestFaceScans:
+    """The scans resolve the face test once and agree with the public is_face."""
+
+    @staticmethod
+    def reference_layers(g, k):
+        layers = []
+        for p in range(1, g.n - k + 1):
+            layer = [f for f in combinations(range(1, g.n + 1), p) if is_face(g, k, f)]
+            if not layer:
+                break
+            layers.append(layer)
+        return layers
+
+    @staticmethod
+    def random_graphs():
+        rng = random.Random(20261018)
+        for n in range(2, 10):
+            for density in (0.2, 0.5, 0.8):
+                edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density]
+                yield Graph(n, edges)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda: faces_by_dimension(squared_path(10), 4),
+            lambda: f_vector_bruteforce(squared_path(10), 4, method="powerset"),
+            lambda: nonface_layers(4, 10),
+        ],
+        ids=["faces_by_dimension", "f_vector_powerset", "nonface_layers"],
+    )
+    def test_engine_resolved_once_per_scan(self, scan, monkeypatch):
+        calls = []
+        original = cutcx.complements.is_squared_path
+
+        def counting(graph):
+            calls.append(graph.n)
+            return original(graph)
+
+        monkeypatch.setattr(cutcx.complements, "is_squared_path", counting)
+        scan()
+        assert calls == [10]
+
+    def test_random_graphs_match_public_face_test(self):
+        for g in self.random_graphs():
+            for k in range(2, g.n + 1):
+                assert faces_by_dimension(g, k) == self.reference_layers(g, k), (g, k)
+                a = f_vector_bruteforce(g, k, method="powerset")
+                b = f_vector_bruteforce(g, k, method="complement")
+                assert a == b, (g, k)
+
+    def test_squared_paths_match_public_face_test(self):
+        for n in range(2, 11):
+            g = squared_path(n)
+            for k in range(2, n + 1):
+                layers = self.reference_layers(g, k)
+                assert faces_by_dimension(g, k, "bfs") == layers, (n, k)
+                assert faces_by_dimension(g, k, "gap") == layers, (n, k)
+                fvs = {
+                    f_vector_bruteforce(g, k, method, engine)
+                    for method in ("powerset", "complement")
+                    for engine in ("bfs", "gap")
+                }
+                assert len(fvs) == 1, (n, k, fvs)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import cutcx.formulas
 from cutcx import (
     BettiTable,
     Polynomial,
@@ -207,6 +208,17 @@ class TestGeneratingFunctions:
     def test_range_error(self):
         with pytest.raises(ValueError):
             diagonal_genfun(2)
+
+    @pytest.mark.parametrize(
+        "error",
+        [Polynomial.constant(1), Polynomial([0, Fraction(1, 1000)])],
+        ids=["plus-one", "plus-x-over-1000"],
+    )
+    def test_post_check_catches_a_wrong_diagonal(self, error, monkeypatch):
+        original = cutcx.formulas.diagonal_poly
+        monkeypatch.setattr(cutcx.formulas, "diagonal_poly", lambda r: original(r) + error)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            diagonal_genfun(6)
 
 
 def h_coefficients_reference(k: int, n: int) -> list[int]:

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+import cutcx.homology
 from cutcx import (
     FIELD_SAMPLING_NOTE,
     BoundaryMatrix,
@@ -282,6 +283,20 @@ class TestConcentrationReport:
         assert report.ok
         assert report.expected_top == 1087
         assert report.betti_by_prime[3] == (0,) * 7 + (1087,)
+
+    def test_boundary_check_runs_once_for_all_primes(self, monkeypatch):
+        calls = []
+        original = cutcx.homology.composition_vanishes
+
+        def counting(matrices):
+            calls.append(len(matrices))
+            return original(matrices)
+
+        monkeypatch.setattr(cutcx.homology, "composition_vanishes", counting)
+        report = verify_concentration(4, 8, (2, 3))
+        assert report.ok
+        assert report.betti_by_prime == {2: (0, 0, 0, 11), 3: (0, 0, 0, 11)}
+        assert len(calls) == 1
 
     def test_vanishing_case(self):
         report = verify_concentration(2, 5)
