@@ -56,6 +56,7 @@ from .graphs import (
 )
 from .homology import (
     FIELD_SAMPLING_NOTE,
+    HOMOLOGY_LIMIT,
     BoundaryMatrix,
     ConcentrationReport,
     PrimeField,
@@ -80,6 +81,7 @@ __all__ = [
     "FULL_SCAN_LIMIT",
     "FVector",
     "Graph",
+    "HOMOLOGY_LIMIT",
     "NonfaceLayers",
     "Polynomial",
     "PrimeField",

@@ -11,17 +11,19 @@ consecutive labels, and nothing larger is bad.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable
 
 from .graphs import (
     Graph,
+    _connected_by_search,
+    _gaps_at_most_two,
     canonical_vertex_set,
-    gap_connected,
-    is_connected_induced,
     is_squared_path,
     require_full_scan_capacity,
 )
+from .graphs import gap_connected, is_connected_induced  # unused here; kept because bench/tracer.py wraps them
 from .polynomials import binom
 
 CONNECTIVITY_ENGINES = ("bfs", "gap")
@@ -33,13 +35,15 @@ def connectivity_test(graph: Graph, connectivity: str | None = None) -> Callable
     None selects 'gap' when the graph structurally equals a squared path,
     else 'bfs'.  The gap engine is only valid on squared paths; it is
     exposed so the equivalence of the two engines is itself testable.
+    The predicate is the engine's body: it takes canonical tuples inside
+    1..n, as every scan produces, and skips the public functions' checks.
     """
     if connectivity is None:
         connectivity = "gap" if is_squared_path(graph) else "bfs"
     if connectivity == "bfs":
-        return lambda s: is_connected_induced(graph, s)
+        return partial(_connected_by_search, graph)
     if connectivity == "gap":
-        return gap_connected
+        return _gaps_at_most_two
     raise ValueError(f"unknown connectivity engine {connectivity!r}; expected one of {CONNECTIVITY_ENGINES}")
 
 

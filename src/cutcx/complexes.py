@@ -234,16 +234,25 @@ def faces_by_dimension(graph: Graph, k: int, connectivity: str | None = None) ->
     """Faces grouped by dimension (index d lists the cardinality d+1 faces).
 
     The empty face is implicit.  Returns [] for complexes with no vertices
-    (void, or the complex containing only the empty face).
+    (void, or the complex containing only the empty face).  Each layer is
+    in lexicographic order, which keeps the rank's fill-in low.
     """
     n = graph.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "face enumeration")
-    face = _face_test(graph, k, connectivity)
+    conn = connectivity_test(graph, connectivity)
+    vertices = range(1, n + 1)
     out: list[list[tuple[int, ...]]] = []
     for p in range(1, n - k + 1):
-        layer = [f for f in combinations(range(1, n + 1), p) if face(f)]
+        # Complementing reverses lexicographic order, so the i-th p-set pairs
+        # with the i-th (n-p)-set counted from the end: its complement.
+        complements = reversed(list(combinations(vertices, n - p)))
+        layer = [
+            f
+            for f, c in zip(combinations(vertices, p), complements)
+            if not _all_k_subsets_connected(c, k, conn)
+        ]
         if not layer:
             break
         out.append(layer)

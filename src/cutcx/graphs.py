@@ -89,17 +89,18 @@ def _validated(graph: Graph, subset: Iterable[int]) -> tuple[int, ...]:
 
 def is_connected_induced(graph: Graph, subset: Iterable[int]) -> bool:
     """Connectivity of the induced subgraph on a nonempty vertex set, by search."""
-    s = _validated(graph, subset)
-    members = set(s)
-    seen = {s[0]}
+    return _connected_by_search(graph, _validated(graph, subset))
+
+
+def _connected_by_search(graph: Graph, s: tuple[int, ...]) -> bool:
+    """The search proper, on a canonical nonempty set inside 1..n."""
+    unseen = set(s[1:])
     stack = [s[0]]
-    while stack:
-        u = stack.pop()
-        for v in graph.adj[u]:
-            if v in members and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(members)
+    while stack and unseen:
+        found = graph.adj[stack.pop()] & unseen
+        unseen -= found
+        stack.extend(found)
+    return not unseen
 
 
 def gap_connected(subset: Iterable[int]) -> bool:
@@ -111,7 +112,17 @@ def gap_connected(subset: Iterable[int]) -> bool:
     s = canonical_vertex_set(subset)
     if not s:
         raise ValueError("vertex set must be nonempty")
-    return all(b - a <= 2 for a, b in zip(s, s[1:]))
+    return _gaps_at_most_two(s)
+
+
+def _gaps_at_most_two(s: tuple[int, ...]) -> bool:
+    """The gap criterion proper, on a canonical nonempty set."""
+    prev = s[0]
+    for v in s:
+        if v - prev > 2:
+            return False
+        prev = v
+    return True
 
 
 def parse_graph(text: str, scan: str | None = None) -> Graph:

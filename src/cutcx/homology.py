@@ -3,20 +3,28 @@
 The chain complex is augmented: the empty face is the single generator in
 dimension -1, so Betti numbers are reduced.  Ranks are computed exactly,
 over every prime alike, by sparse column reduction mod p on the stored
-boundary columns.  Boundary composition is checked over the integers,
-which forces it over every field.
+boundary columns.  They are computed top-down with clearing (Chen-Kerber's
+twist): a column of the d-th boundary whose face is a pivot row of the
+reduced (d+1)-th boundary is skipped, since boundary composition vanishing
+makes it a combination of earlier columns.  Boundary composition is
+checked over the integers, which forces it over every field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .complexes import faces_by_dimension
 from .formulas import beta_closed
-from .graphs import squared_path
+from .graphs import CapacityError, squared_path
 
 MAX_PRIME = 1 << 16
+
+# Largest n whose squared-path homology checks run within budget: over
+# GF(2) and GF(3), every k at n = 18 takes about a minute of CPU, and each
+# further vertex costs about 2.5 times more.
+HOMOLOGY_LIMIT = 18
 
 # A rank computation samples finitely many coefficient fields; it can
 # certify homology over those fields, never the homotopy type.
@@ -55,7 +63,12 @@ class PrimeField:
 
 
 def rank_mod_p(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> int:
-    """Rank over GF(p) of a matrix given column by column as (row, value) pairs.
+    """Rank over GF(p) of a matrix given column by column as (row, value) pairs."""
+    return len(_pivot_rows(columns, p))
+
+
+def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int]:
+    """Pivot rows of the reduced matrix over GF(p); there is one per unit of rank.
 
     Sparse column reduction: each column, held as a dict row -> residue,
     is reduced by the pivot column that owns its largest row until it
@@ -88,7 +101,7 @@ def rank_mod_p(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> int:
                     col[i] = c
                 else:
                     del col[i]
-    return len(pivots)
+    return set(pivots)
 
 
 @dataclass(frozen=True)
@@ -105,19 +118,21 @@ class BoundaryMatrix:
     ncols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def rank(self, p: int) -> int:
+    def rank(self, p: int, skip: Collection[int] = (), pivot_rows: set[int] | None = None) -> int:
+        """Rank over GF(p), leaving out the columns in skip.
+
+        The pivot rows of the reduction are added to pivot_rows when given.
+        Skipping is sound only for columns known to lie in the span of
+        earlier ones, as clearing guarantees.
+        """
         PrimeField(p)
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        return rank_mod_p(self.columns, p)
-
-    def triplet_lines(self) -> list[str]:
-        """Debug dump, one 'dim row col value' line per nonzero entry."""
-        return [
-            f"{self.dim} {i} {j} {sign}"
-            for j, col in enumerate(self.columns)
-            for i, sign in col
-        ]
+        columns = [col for j, col in enumerate(self.columns) if j not in skip] if skip else self.columns
+        rows = _pivot_rows(columns, p)
+        if pivot_rows is not None:
+            pivot_rows |= rows
+        return len(rows)
 
 
 def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> list[BoundaryMatrix]:
@@ -173,7 +188,7 @@ def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
             for mid_row, sign in col:
                 for out_row, inner_sign in low.columns[mid_row]:
                     acc[out_row] = acc.get(out_row, 0) + sign * inner_sign
-            if any(v != 0 for v in acc.values()):
+            if any(acc.values()):
                 return False
     return True
 
@@ -189,8 +204,18 @@ def betti_numbers(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
 
 
 def _betti(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
-    """Reduced Betti numbers from the ranks alone, on a complex already checked for dd = 0."""
-    ranks = [m.rank(prime) for m in matrices]
+    """Reduced Betti numbers from the ranks alone, on a complex already checked for dd = 0.
+
+    Ranks run from the top dimension down.  A pivot row of the reduced
+    boundary of dimension d+1 names a d-face whose column in the boundary
+    of dimension d is a combination of earlier columns, so it is cleared.
+    """
+    ranks = [0] * len(matrices)
+    cleared: set[int] = set()
+    for i in reversed(range(len(matrices))):
+        pivots: set[int] = set()
+        ranks[i] = matrices[i].rank(prime, cleared, pivots)
+        cleared = pivots
     out = []
     for i, m in enumerate(matrices):
         higher = ranks[i + 1] if i + 1 < len(ranks) else 0
@@ -231,6 +256,8 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
     """
     if k < 2 or n < k + 2:
         raise ValueError(f"need k >= 2 and n >= k+2, got k={k}, n={n}")
+    if n > HOMOLOGY_LIMIT:
+        raise CapacityError(f"homology check at n={n} exceeds the supported limit n <= {HOMOLOGY_LIMIT}")
     prime_list = sorted(set(primes))
     if not prime_list:
         raise ValueError("at least one prime is required")

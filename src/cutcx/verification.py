@@ -28,7 +28,7 @@ from .formulas import (
     verify_recurrence,
 )
 from .graphs import FULL_SCAN_LIMIT, CapacityError, squared_path
-from .homology import verify_concentration
+from .homology import HOMOLOGY_LIMIT, verify_concentration
 from .polynomials import RationalGenFun, binom
 
 # Frozen reference values for the top Betti number along diagonals
@@ -266,6 +266,8 @@ def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
         raise ValueError(f"n_max must be at least 4, the smallest n checked, got {n_max}")
     if n_max > FULL_SCAN_LIMIT:
         raise CapacityError(f"n_max={n_max} exceeds the supported limit {FULL_SCAN_LIMIT}")
+    if scope in ("homology", "all") and n_max > HOMOLOGY_LIMIT:
+        raise CapacityError(f"n_max={n_max} exceeds the homology limit {HOMOLOGY_LIMIT}")
     jobs: list[Job] = []
     if scope in ("all",):
         jobs += table_jobs()

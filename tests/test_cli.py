@@ -432,6 +432,20 @@ class TestVerify:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("scope", ["homology", "all"])
+    def test_homology_past_its_limit_is_capacity_error(self, capsys, monkeypatch, scope):
+        def refuse(k, n, primes):
+            raise AssertionError(f"homology check k={k} n={n} ran past the limit")
+
+        monkeypatch.setattr(verification, "verify_concentration", refuse)
+        n_max = str(cutcx.HOMOLOGY_LIMIT + 1)
+        code, out, err = run(capsys, "verify", "--scope", scope, "--n-max", n_max, "--no-timing")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and f"homology limit {cutcx.HOMOLOGY_LIMIT}" in err
+        # The other brute-force scopes keep the full-scan limit.
+        assert verification.scope_jobs("profile", cutcx.HOMOLOGY_LIMIT + 1, (2,))
+
     def test_seed_check_runs_homology_over_the_given_primes(self, capsys, monkeypatch):
         seen = set()
 

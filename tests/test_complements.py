@@ -6,20 +6,24 @@ by the jump-stratified sum, the bad (k+1)-sets are precisely the runs of
 consecutive labels, and nothing of size k+2 or more is ever bad.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 
 from cutcx import (
+    Graph,
     complete_graph,
     gap_connected,
     is_bad,
+    is_connected_induced,
     q_profile_bruteforce,
     q_profile_closed,
     squared_path,
     z_count,
 )
 from cutcx.complements import connectivity_test
+from cutcx.graphs import _connected_by_search, _gaps_at_most_two
 
 
 class TestIsBad:
@@ -135,11 +139,32 @@ class TestEngineResolution:
     def test_auto_uses_gap_only_on_squared_paths(self):
         # The resolved predicate for a squared path ignores ambient edges,
         # so it must be the gap criterion itself.
-        assert connectivity_test(squared_path(9)) is gap_connected
-        assert connectivity_test(complete_graph(4)) is not gap_connected
+        assert connectivity_test(squared_path(9)) is _gaps_at_most_two
+        assert connectivity_test(complete_graph(4)) is not _gaps_at_most_two
 
     def test_explicit_override(self):
         conn = connectivity_test(complete_graph(4), "gap")
-        assert conn is gap_connected
+        assert conn is _gaps_at_most_two
         bfs = connectivity_test(complete_graph(4), "bfs")
         assert bfs((1, 4))
+
+
+class TestEngineBodies:
+    """The engine bodies skip validation; on canonical sets they must agree with the public functions."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(20261018)
+        for n in range(1, 11):
+            yield squared_path(n)
+            for density in (0.2, 0.5, 0.8):
+                yield Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+    def test_bodies_agree_with_public_functions_on_every_subset(self):
+        for g in self.graphs():
+            bfs = connectivity_test(g, "bfs")
+            for size in range(1, g.n + 1):
+                for s in combinations(range(1, g.n + 1), size):
+                    public = is_connected_induced(g, s)
+                    assert _connected_by_search(g, s) == bfs(s) == public, (g, s)
+                    assert _gaps_at_most_two(s) == gap_connected(s), s

@@ -278,6 +278,14 @@ class TestFaceScans:
                 b = f_vector_bruteforce(g, k, method="complement")
                 assert a == b, (g, k)
 
+    def test_layers_are_strictly_lex_increasing(self):
+        # The rank's fill-in depends on faces listed in lexicographic order.
+        graphs = list(self.random_graphs()) + [squared_path(n) for n in range(2, 13)]
+        for g in graphs:
+            for k in range(2, g.n + 1):
+                for layer in faces_by_dimension(g, k):
+                    assert layer == sorted(set(layer)), (g, k)
+
     def test_squared_paths_match_public_face_test(self):
         for n in range(2, 11):
             g = squared_path(n)

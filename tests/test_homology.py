@@ -7,13 +7,17 @@ this module existed, so agreement is evidence, not circularity.
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 
 import cutcx.homology
 from cutcx import (
     FIELD_SAMPLING_NOTE,
+    HOMOLOGY_LIMIT,
     BoundaryMatrix,
+    CapacityError,
+    Graph,
     PrimeField,
     beta_closed,
     betti_numbers,
@@ -325,15 +329,66 @@ class TestConcentrationReport:
         with pytest.raises(ValueError):
             verify_concentration(4, 5)
 
+    def test_capacity_refused_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("faces enumerated past the homology limit")
 
-class TestTripletDump:
-    def test_shape_and_format(self):
-        for m in complex_for(4, 7):
-            lines = m.triplet_lines()
-            assert len(lines) == (m.dim + 1) * m.ncols
-            for line in lines:
-                assert re.fullmatch(r"\d+ \d+ \d+ -?1", line)
+        monkeypatch.setattr(cutcx.homology, "faces_by_dimension", refuse)
+        with pytest.raises(CapacityError, match=f"n <= {HOMOLOGY_LIMIT}"):
+            verify_concentration(4, HOMOLOGY_LIMIT + 1)
 
-    def test_dimension_zero_rows(self):
-        m = complex_for(4, 7)[0]
-        assert m.triplet_lines() == [f"0 0 {j} 1" for j in range(m.ncols)]
+
+def uncleared_betti(matrices: list[BoundaryMatrix], p: int) -> list[int]:
+    """Reduced Betti numbers from per-matrix ranks with no column skipped."""
+    ranks = [rank_mod_p(m.columns, p) for m in matrices] + [0]
+    return [m.ncols - ranks[i] - ranks[i + 1] for i, m in enumerate(matrices)]
+
+
+class TestClearing:
+    """Top-down ranks skip the columns cleared by the boundary one dimension up."""
+
+    def test_squared_paths_match_uncleared_ranks(self):
+        for n in range(4, 11):
+            for k in range(2, n + 1):
+                matrices = complex_for(k, n)
+                for p in PRIMES:
+                    assert betti_numbers(matrices, p) == uncleared_betti(matrices, p), (k, n, p)
+
+    def test_random_graphs_match_uncleared_ranks(self):
+        rng = random.Random(20261018)
+        spread = 0
+        for n in range(4, 10):
+            for density in (0.2, 0.4, 0.6, 0.8):
+                g = Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+                for k in range(2, n + 1):
+                    matrices = build_chain_complex(faces_by_dimension(g, k))
+                    for p in PRIMES:
+                        betti = betti_numbers(matrices, p)
+                        assert betti == uncleared_betti(matrices, p), (g, k, p)
+                    spread += sum(1 for b in betti if b) >= 2
+        # The draw must include complexes with homology in several dimensions.
+        assert spread >= 2
+
+    def test_concentrated_complex_feeds_only_rank_many_columns(self, monkeypatch):
+        # k=6, n=14: homology only at the top, so below it each boundary's
+        # cleared columns are exactly those that would reduce to zero.
+        fed: list[tuple[int, int]] = []
+        original = cutcx.homology._pivot_rows
+
+        def counting(columns, p):
+            columns = list(columns)
+            rows = original(columns, p)
+            fed.append((len(columns), len(rows)))
+            return rows
+
+        monkeypatch.setattr(cutcx.homology, "_pivot_rows", counting)
+        matrices = complex_for(6, 14)
+        for p in (2, 3):
+            fed.clear()
+            assert betti_numbers(matrices, p) == [0] * 7 + [1087]
+            fed.reverse()  # ranks run from the top dimension down
+            assert len(fed) == len(matrices)
+            assert fed[-1][0] == matrices[-1].ncols
+            assert all(columns == rank for columns, rank in fed[:-1]), (p, fed)
+            skipped = [m.ncols - columns for m, (columns, _) in zip(matrices, fed)]
+            assert skipped[4:6] == [1287, 1716]
