@@ -21,7 +21,8 @@ import time
 from typing import Any, Callable
 
 from .complements import q_profile_bruteforce, q_profile_closed
-from .complexes import f_vector_bruteforce, face_enumerator_closed, nonface_layers
+from .complexes import FVector, face_enumerator_closed, nonface_layers
+from .complexes import f_vector_bruteforce  # unused here; kept because bench/tracer.py wraps cli.f_vector_bruteforce
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
 from .graphs import CapacityError, is_squared_path, parse_graph
 from .homology import PrimeField
@@ -197,8 +198,8 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
     graph = parse_graph(text, scan="brute-force f-vector")
     if args.connectivity == "gap" and not is_squared_path(graph):
         raise ValueError("--connectivity gap is only valid for squared paths; use bfs")
-    fv = f_vector_bruteforce(graph, args.k, method=args.method, connectivity=args.connectivity)
     profile = q_profile_bruteforce(graph, args.k, connectivity=args.connectivity)
+    fv = FVector.from_profile(profile)
     meta = {"n": graph.n, "k": args.k, "edge_count": graph.edge_count}
     return EXIT_OK, {
         "json": lambda: {
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("path", help="file in the 'n <count>' / 'e <u> <v>' line format")
     p_graph.add_argument("--k", type=int, required=True)
     p_graph.add_argument("--connectivity", choices=("bfs", "gap"), default=None)
-    p_graph.add_argument("--method", choices=("powerset", "complement"), default=None)
+    p_graph.add_argument("--method", choices=("powerset", "complement"), default=None,
+                         help="ignored, kept for compatibility: face counts are always read off the bad-set profile")
     p_graph.set_defaults(handler=cmd_graph)
 
     return parser

@@ -10,19 +10,13 @@ exactly when its complement is bad.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import accumulate, combinations
+from typing import Iterable
 
-from .complements import _all_k_subsets_connected, connectivity_test, q_profile_bruteforce, z_count
+from .complements import BadProfile, _all_k_subsets_connected, connectivity_test, q_profile_bruteforce, z_count
 from .complements import is_bad  # unused here; kept because bench/tracer.py wraps complexes.is_bad
 from .graphs import Graph, canonical_vertex_set, require_full_scan_capacity, squared_path
 from .polynomials import Polynomial, binom
-
-# Above this vertex count the brute-force f-vector switches from powerset
-# face scans to complement counting (only sizes >= k matter there).
-POWERSET_DEFAULT_LIMIT = 20
-
-F_VECTOR_METHODS = ("powerset", "complement")
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,13 @@ class FVector:
         """Largest face cardinality, -1 when void."""
         return -1 if self.counts is None else len(self.counts) - 1
 
+    @classmethod
+    def from_profile(cls, profile: BadProfile) -> FVector:
+        """Face counts from bad-set counts, f_p = C(n,p) - q(n-p); void when all are 0."""
+        n, k = profile.n, profile.k
+        counts = tuple(binom(n, p) - profile.q(n - p) for p in range(n - k + 1))
+        return cls(k=k, n=n, counts=counts if any(counts) else None)
+
     def to_text(self) -> str:
         lines = [f"k={self.k} n={self.n}", f"void={'true' if self.is_void else 'false'}"]
         if self.counts is not None:
@@ -78,9 +79,6 @@ class NonfaceLayers:
     @property
     def r(self) -> int:
         return self.n - self.k
-
-    def level_r_all(self) -> list[tuple[int, ...]]:
-        return [s for group in self.level_r_by_j for s in group]
 
     def to_text(self) -> str:
         lines = [f"k={self.k} n={self.n} r={self.r}"]
@@ -110,54 +108,17 @@ def is_face(graph: Graph, k: int, face: Iterable[int], connectivity: str | None 
     f = canonical_vertex_set(face)
     if f and (f[0] < 1 or f[-1] > n):
         raise ValueError(f"vertex set {f} leaves the range 1..{n}")
-    return _face_test(graph, k, connectivity)(f)
+    comp = tuple(v for v in range(1, n + 1) if v not in f)
+    return len(comp) >= k and not _all_k_subsets_connected(comp, k, connectivity_test(graph, connectivity))
 
 
-def _face_test(graph: Graph, k: int, connectivity: str | None = None) -> Callable[[tuple[int, ...]], bool]:
-    """The face test with its engine resolved once, for scans over many sets.
+def f_vector_bruteforce(graph: Graph, k: int, connectivity: str | None = None) -> FVector:
+    """Exhaustive f-vector read off the bad-set profile: f_p = C(n,p) - q(n-p).
 
-    The predicate takes canonical tuples inside 1..n and skips is_face's
-    validation; it makes the same bad-set test on the same complement.
+    A p-set is a face exactly when its complement, of size n-p >= k, is
+    not bad, so the one bad-set scan counts the faces of every size.
     """
-    conn = connectivity_test(graph, connectivity)
-    vertices = tuple(range(1, graph.n + 1))
-
-    def face(f: tuple[int, ...]) -> bool:
-        members = set(f)
-        comp = tuple(v for v in vertices if v not in members)
-        return len(comp) >= k and not _all_k_subsets_connected(comp, k, conn)
-
-    return face
-
-
-def f_vector_bruteforce(
-    graph: Graph,
-    k: int,
-    method: str | None = None,
-    connectivity: str | None = None,
-) -> FVector:
-    """Exhaustive f-vector, by powerset face scan or by complement counting.
-
-    method None picks the powerset scan up to n=20 and complement counting
-    beyond; both routes are exposed and must agree wherever both run.
-    """
-    n = graph.n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if method is None:
-        method = "powerset" if n <= POWERSET_DEFAULT_LIMIT else "complement"
-    if method not in F_VECTOR_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {F_VECTOR_METHODS}")
-    require_full_scan_capacity(n, "brute-force f-vector")
-    if method == "powerset":
-        face = _face_test(graph, k, connectivity)
-        counts = [sum(1 for f in combinations(range(1, n + 1), p) if face(f)) for p in range(n - k + 1)]
-    else:
-        profile = q_profile_bruteforce(graph, k, connectivity)
-        counts = [binom(n, p) - profile.q(n - p) for p in range(n - k + 1)]
-    if not any(counts):
-        return FVector(k=k, n=n, counts=None)
-    return FVector(k=k, n=n, counts=tuple(counts))
+    return FVector.from_profile(q_profile_bruteforce(graph, k, connectivity))
 
 
 def face_enumerator_closed(k: int, n: int) -> Polynomial:
@@ -185,41 +146,29 @@ def reduced_euler(fv: FVector) -> int:
 def nonface_layers(k: int, n: int) -> NonfaceLayers:
     """Construct the two minimal nonface layers of the squared-path complex.
 
-    Every returned set is re-verified to fail is_face; a failure here is an
-    internal error, not bad input.
+    Every returned set is re-verified to be a nonface, by the bad-set test
+    on its complement; a failure here is an internal error, not bad input.
     """
     if not 2 <= k <= n - 2:
         raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
     r = n - k
-    vertices = range(1, n + 1)
-    level_rminus1 = []
-    for s in range(1, r + 1):
-        run = set(range(s, s + k + 1))
-        level_rminus1.append(tuple(v for v in vertices if v not in run))
+    conn = connectivity_test(squared_path(n))
+
+    def nonface(comp: tuple[int, ...]) -> tuple[int, ...]:
+        if not _all_k_subsets_connected(comp, k, conn):
+            raise RuntimeError(f"internal error: constructed nonface complement {comp} is not bad for k={k}, n={n}")
+        return tuple(v for v in range(1, n + 1) if v not in comp)
+
+    level_rminus1 = tuple(nonface(tuple(range(s, s + k + 1))) for s in range(1, r + 1))
     level_r_by_j: list[tuple[tuple[int, ...], ...]] = []
     for j in range(min(k - 1, r) + 1):
         group = []
         for jump_positions in combinations(range(k - 1), j):
-            jumps = set(jump_positions)
-            for start in range(1, r - j + 2):
-                member = start
-                members = {member}
-                for pos in range(k - 1):
-                    member += 2 if pos in jumps else 1
-                    members.add(member)
-                group.append(tuple(v for v in vertices if v not in members))
+            steps = [2 if pos in jump_positions else 1 for pos in range(k - 1)]
+            group += [nonface(tuple(accumulate(steps, initial=start))) for start in range(1, r - j + 2)]
         group.sort()
         level_r_by_j.append(tuple(group))
-    face = _face_test(squared_path(n), k)
-    for s in level_rminus1 + [t for g in level_r_by_j for t in g]:
-        if face(s):
-            raise RuntimeError(f"internal error: constructed nonface {s} tested as a face for k={k}, n={n}")
-    return NonfaceLayers(
-        k=k,
-        n=n,
-        level_rminus1=tuple(level_rminus1),
-        level_r_by_j=tuple(level_r_by_j),
-    )
+    return NonfaceLayers(k=k, n=n, level_rminus1=level_rminus1, level_r_by_j=tuple(level_r_by_j))
 
 
 def layered_beta(k: int, n: int) -> int:

@@ -118,14 +118,6 @@ class RecurrenceCheck:
     def ok(self) -> bool:
         return self.symbolic_zero and all(e.ok for e in self.entries)
 
-    def to_lines(self) -> list[str]:
-        lines = [f"r={self.r} symbolic_zero={'true' if self.symbolic_zero else 'false'}"]
-        lines += [
-            f"k={e.k} window={e.window} value={e.value} ok={'true' if e.ok else 'false'}"
-            for e in self.entries
-        ]
-        return lines
-
 
 def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     """Check that the codimension-r diagonal is killed by the r-th difference.

@@ -236,16 +236,6 @@ class ConcentrationReport:
     mismatches: tuple[str, ...]
     note: str = FIELD_SAMPLING_NOTE
 
-    def to_lines(self) -> list[str]:
-        lines = [f"k={self.k} n={self.n} r={self.r} expected_top={self.expected_top}"]
-        for p in sorted(self.betti_by_prime):
-            vec = ",".join(map(str, self.betti_by_prime[p]))
-            lines.append(f"prime={p} betti={vec}")
-        lines.append(f"ok={'true' if self.ok else 'false'}")
-        lines.extend(self.mismatches)
-        lines.append(f"note={self.note}")
-        return lines
-
 
 def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> ConcentrationReport:
     """Compare squared-path cut complex homology against the closed top Betti number.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -54,30 +54,6 @@ class Polynomial:
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
         return Polynomial([c])
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial([0, 1])
-
-    @staticmethod
-    def monomial(c: Scalar, d: int) -> "Polynomial":
-        if d < 0:
-            raise ValueError("degree must be nonnegative")
-        return Polynomial([0] * d + [c])
-
-    @staticmethod
-    def binomial(a: int, m: int) -> "Polynomial":
-        """The polynomial C(x+a, m) = (x+a)(x+a-1)...(x+a-m+1)/m! in x.
-
-        This is the falling-factorial binomial: a genuine degree-m polynomial,
-        nonzero in general even where the combinatorial convention gives 0.
-        """
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        p = Polynomial.constant(1)
-        for i in range(m):
-            p = p * Polynomial([a - i, 1])
-        return p * Fraction(1, factorial(m))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -180,12 +156,6 @@ class Polynomial:
         """Coefficients lowest degree first (trailing zeros trimmed)."""
         return list(self.coeffs)
 
-    def coeff_text(self) -> str:
-        """Space-joined coefficient list, rationals as p/q literals."""
-        if self.is_zero:
-            return "0"
-        return " ".join(str(c) for c in self.coeffs)
-
     def text(self, var: str = "x") -> str:
         """Human form like '1 + 7x + 18x^2 - 15x^3', ascending degree."""
         if self.is_zero:
@@ -236,21 +206,6 @@ class RationalGenFun:
     def is_canonical(self) -> bool:
         """Canonical when the numerator does not vanish at 1 (pole order exact)."""
         return self.numerator.is_zero or self.numerator(1) != 0
-
-    def canonical(self) -> "RationalGenFun":
-        """Strip (1-x) factors shared with the denominator."""
-        num, r = self.numerator, self.pole_order
-        while r > 0 and not num.is_zero and num(1) == 0:
-            # synthetic division: num = (1-x) * q with q_i = sum of low coeffs
-            cs = num.coeff_list()
-            q = []
-            acc: Scalar = 0
-            for c in cs[:-1]:
-                acc += c
-                q.append(acc)
-            num = Polynomial(q)
-            r -= 1
-        return RationalGenFun(num, r)
 
     def series(self, count: int) -> list[Scalar]:
         """First `count` Taylor coefficients at 0, exactly."""

@@ -8,11 +8,10 @@ frozen here independently of beta_closed and anchors the table checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .complements import q_profile_bruteforce, q_profile_closed
-from .complexes import _face_test, f_vector_bruteforce, face_enumerator_closed, reduced_euler
+from .complexes import f_vector_bruteforce, face_enumerator_closed, reduced_euler
 from .complexes import is_face  # unused here; kept because bench/tracer.py wraps verification.is_face
 from .formulas import (
     BettiTable,
@@ -296,14 +295,3 @@ def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:
         jobs.append((f"seed recurrence r={r}", run))
     jobs += homology_jobs(9, primes)
     return jobs
-
-
-def lower_skeleton_full(k: int, n: int) -> bool:
-    """Every vertex set of size at most r-2 must be a face."""
-    face = _face_test(squared_path(n), k)
-    r = n - k
-    return all(
-        face(f)
-        for p in range(0, r - 1)
-        for f in combinations(range(1, n + 1), p)
-    )

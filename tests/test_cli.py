@@ -12,12 +12,13 @@ import re
 import subprocess
 import sys
 import types
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import cutcx
-from cutcx import graphs, verification
+from cutcx import complements, complexes, graphs, verification
 from cutcx.cli import main
 
 GOLDEN_TABLE = """\
@@ -103,6 +104,9 @@ BYTE_GOLDENS = [
                       {"r": 4, "values": [3, 11, 26, 50, 85, 133, 196, 276]},
                       {"r": 5, "values": [6, 25, 67, 145, 275, 476, 770, 1182]},
                       {"r": 6, "values": [10, 46, 136, 324, 674, 1274, 2240, 3720]}]})),
+    (("table", "--format", "csv"),
+     "r\\k,3,4,5,6,7,8,9,10\n3,1,3,6,10,15,21,28,36\n4,3,11,26,50,85,133,196,276\n"
+     "5,6,25,67,145,275,476,770,1182\n6,10,46,136,324,674,1274,2240,3720\n"),
     (("verify", "--scope", "profile", "--n-max", "6", "--format", "json"),
      pretty({"command": "verify", "scope": "profile", "n_max": 6, "primes": [2, 3],
              "checks": [{"name": name, "ok": True, "detail": ""} for name in PROFILE_CHECKS],
@@ -165,21 +169,6 @@ class TestTable:
             for k, value in zip(ks, cells[1:]):
                 assert verification.REFERENCE_TABLE[(k, r)] == int(value)
 
-    def test_json_round_trip(self, capsys):
-        _, out, _ = run(capsys, "table", "--no-timing", "--format", "json")
-        payload = json.loads(out)
-        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert payload["command"] == "table"
-        assert payload["k_values"] == list(range(3, 11))
-        assert payload["rows"][0] == {"r": 3, "values": [1, 3, 6, 10, 15, 21, 28, 36]}
-
-    def test_csv(self, capsys):
-        _, out, _ = run(capsys, "table", "--no-timing", "--format", "csv")
-        lines = out.rstrip("\n").split("\n")
-        assert lines[0] == "r\\k,3,4,5,6,7,8,9,10"
-        assert lines[1] == "3,1,3,6,10,15,21,28,36"
-        assert lines[4] == "6,10,46,136,324,674,1274,2240,3720"
-
     def test_sub_window(self, capsys):
         code, out, _ = run(
             capsys, "table", "--no-timing", "--k-min", "3", "--k-max", "4",
@@ -206,10 +195,6 @@ class TestEnum:
         payload = json.loads(out)
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["coefficients"] == [1, 7, 18, 15]
-
-    def test_faceenum_csv(self, capsys):
-        _, out, _ = run(capsys, "enum", "faceenum", "4", "7", "--no-timing", "--format", "csv")
-        assert out == "degree,coefficient\n0,1\n1,7\n2,18\n3,15\n"
 
     def test_hpoly_golden(self, capsys):
         code, out, _ = run(capsys, "enum", "hpoly", "4", "7", "--no-timing")
@@ -297,17 +282,6 @@ class TestGraph:
             "m=4 q=20\nm=5 q=3\nm=6 q=0\nm=7 q=0\n"
         )
 
-    def test_json(self, capsys, graph_file):
-        _, out, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", "--format", "json")
-        payload = json.loads(out)
-        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert payload["n"] == 7
-        assert payload["edge_count"] == 11
-        assert payload["f_vector"] == {"void": False, "counts": [1, 7, 18, 15]}
-        assert payload["profile"] == [
-            {"m": 4, "q": 20}, {"m": 5, "q": 3}, {"m": 6, "q": 0}, {"m": 7, "q": 0},
-        ]
-
     def test_csv(self, capsys, graph_file):
         _, out, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", "--format", "csv")
         lines = out.rstrip("\n").split("\n")
@@ -326,9 +300,32 @@ class TestGraph:
         assert bfs_out == gap_out
 
     def test_method_flags_agree(self, capsys, graph_file):
-        _, a, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", "--method", "powerset")
-        _, b, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", "--method", "complement")
-        assert a == b
+        # --method is accepted for compatibility and selects nothing.
+        outputs = {
+            run(capsys, "graph", graph_file, "--k", "4", "--no-timing", *method)
+            for method in ((), ("--method", "powerset"), ("--method", "complement"))
+        }
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", graph_file, "--k", "4", "--method", "magic"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
+                             ids=["default", "method-powerset", "bfs"])
+    def test_one_bad_set_test_per_set(self, capsys, graph_file, monkeypatch, flags):
+        # The f-vector is read off the profile: one scan, each set of size >= k tested once.
+        seen = []
+        original = complements._all_k_subsets_connected
+
+        def counting(c, k, conn):
+            seen.append(c)
+            return original(c, k, conn)
+
+        for module in (complements, complexes):
+            monkeypatch.setattr(module, "_all_k_subsets_connected", counting)
+        code, _, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", *flags)
+        assert code == 0
+        assert sorted(seen) == sorted(c for m in range(4, 8) for c in combinations(range(1, 8), m))
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "graph", str(tmp_path / "absent.graph"), "--k", "4")
@@ -390,28 +387,6 @@ class TestVerify:
         # Pairs (k, n) with 2 <= k <= n-2 and 4 <= n <= 8.
         assert len(lines) - 1 == 15
         assert lines[-1].startswith("checks=15 passed=15 failed=0 scope=profile n_max=8")
-
-    def test_json_form(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--scope", "profile", "--n-max", "6", "--no-timing",
-            "--format", "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        assert payload["failed"] == 0
-        assert payload["passed"] == len(payload["checks"]) == 6
-        assert all(c["ok"] for c in payload["checks"])
-
-    def test_csv_form(self, capsys):
-        _, out, _ = run(
-            capsys, "verify", "--scope", "profile", "--n-max", "6", "--no-timing",
-            "--format", "csv",
-        )
-        lines = out.rstrip("\n").split("\n")
-        assert lines[0] == "name,ok,detail"
-        assert len(lines) == 7
-        assert all(",pass," in line for line in lines[1:])
 
     def test_tampered_reference_fails_honestly(self, capsys, monkeypatch):
         monkeypatch.setitem(verification.REFERENCE_TABLE, (3, 3), 999)

@@ -308,15 +308,6 @@ class TestConcentrationReport:
         assert report.expected_top == 0
         assert report.betti_by_prime[2] == (0, 0, 0)
 
-    def test_report_lines(self):
-        lines = verify_concentration(3, 6, primes=(2,)).to_lines()
-        assert lines == [
-            "k=3 n=6 r=3 expected_top=1",
-            "prime=2 betti=0,0,1",
-            "ok=true",
-            f"note={FIELD_SAMPLING_NOTE}",
-        ]
-
     def test_prime_validation(self):
         with pytest.raises(ValueError):
             verify_concentration(4, 7, primes=(4,))
