@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Any, Callable
 
-from .complements import q_profile_bruteforce, q_profile_closed
+from .complements import q_profile_bruteforce, q_profile_closed, z_count
 from .complexes import FVector, face_enumerator_closed, nonface_layers
 from .complexes import f_vector_bruteforce  # unused here; kept because bench/tracer.py wraps cli.f_vector_bruteforce
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
@@ -35,6 +35,17 @@ EXIT_CAPACITY = 3
 
 FORMATS = ("text", "json", "csv")
 SERIES_HEAD_TERMS = 8
+
+# Caps on the closed-form commands, checked before anything is computed.
+# Past them the payload alone runs to megabytes and the time grows with
+# it (`enum faceenum 2 20000` ran for over 20 s); at them each command
+# takes under a second of CPU and prints at most about 3 MB.
+ENUM_N_LIMIT = 1000  # n for every enum kind that takes k n
+GENFUN_R_LIMIT = 200
+LAYERS_SIZE_LIMIT = 250_000  # listed sets times n: each set costs O(n) to build and print
+TABLE_K_LIMIT = 1000
+TABLE_R_LIMIT = 100
+TABLE_CELL_LIMIT = 2500
 
 View = dict[str, Callable[[], Any]]
 
@@ -121,12 +132,37 @@ ENUM_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., View]]] = {
 }
 
 
+def _require_enum_capacity(kind: str, values: list[int]) -> None:
+    """Refuse an enum past its cap; arguments the builder rejects are left to it."""
+    if kind == "genfun":
+        (r,) = values
+        if r > GENFUN_R_LIMIT:
+            raise CapacityError(f"enum genfun r={r} exceeds the supported limit r <= {GENFUN_R_LIMIT}")
+        return
+    k, n = values
+    if n > ENUM_N_LIMIT:
+        raise CapacityError(f"enum {kind} n={n} exceeds the supported limit n <= {ENUM_N_LIMIT}")
+    if kind == "layers" and 2 <= k <= n - 2:
+        sets = n - k + z_count(k, n)  # r runs at level r-1, the connected k-sets' complements at level r
+        if sets * n > LAYERS_SIZE_LIMIT:
+            raise CapacityError(
+                f"enum layers k={k} n={n} lists {sets} sets of 1..{n}; "
+                f"the supported limit is sets * n <= {LAYERS_SIZE_LIMIT}"
+            )
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_table(args: argparse.Namespace) -> tuple[int, View]:
     if not (2 <= args.r_min <= args.r_max and 2 <= args.k_min <= args.k_max):
         raise ValueError("table needs 2 <= r-min <= r-max and 2 <= k-min <= k-max")
+    cells = (args.k_max - args.k_min + 1) * (args.r_max - args.r_min + 1)
+    if args.k_max > TABLE_K_LIMIT or args.r_max > TABLE_R_LIMIT or cells > TABLE_CELL_LIMIT:
+        raise CapacityError(
+            f"table k-max={args.k_max} r-max={args.r_max} ({cells} cells) exceeds the supported limits "
+            f"k-max <= {TABLE_K_LIMIT}, r-max <= {TABLE_R_LIMIT}, cells <= {TABLE_CELL_LIMIT}"
+        )
     table = BettiTable.from_closed(
         range(args.k_min, args.k_max + 1), range(args.r_min, args.r_max + 1)
     )
@@ -183,6 +219,7 @@ def cmd_enum(args: argparse.Namespace) -> tuple[int, View]:
     names, build = ENUM_KINDS[args.kind]
     if len(args.values) != len(names):
         raise ValueError(f"enum {args.kind} takes {len(names)} argument(s): {' '.join(names)}")
+    _require_enum_capacity(args.kind, args.values)
     view = build(*args.values)
     head = {"command": "enum", "kind": args.kind, **dict(zip(names, args.values))}
     body = view["json"]

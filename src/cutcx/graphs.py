@@ -6,6 +6,7 @@ package; any iterable of vertices is accepted on input and canonicalized.
 
 from __future__ import annotations
 
+from operator import contains
 from typing import Iterable, Sequence
 
 # Exhaustive powerset-style enumerations are refused above this vertex count.
@@ -74,8 +75,18 @@ def complete_graph(n: int) -> Graph:
 
 
 def is_squared_path(graph: Graph) -> bool:
-    """Structural test: does the graph equal squared_path(n) on the same labels?"""
-    return graph == squared_path(graph.n)
+    """Structural test: does the graph equal squared_path(n) on the same labels?
+
+    Read off the adjacency sets, with no second graph built: the graph
+    must contain every pair at distance 1 or 2 and have no other edge,
+    that is, exactly the 2n-3 edges of the squared path (none at n = 1).
+    """
+    n, adj = graph.n, graph.adj
+    return (
+        sum(map(len, adj)) == 2 * max(2 * n - 3, 0)
+        and all(map(contains, adj[1:n], range(2, n + 1)))
+        and all(map(contains, adj[1 : n - 1], range(3, n + 1)))
+    )
 
 
 def _validated(graph: Graph, subset: Iterable[int]) -> tuple[int, ...]:

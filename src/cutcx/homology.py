@@ -13,6 +13,8 @@ checked over the integers, which forces it over every field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, count, cycle, repeat
+from operator import getitem, lt
 from typing import Collection, Iterable, Sequence
 
 from .complexes import faces_by_dimension
@@ -22,8 +24,9 @@ from .graphs import CapacityError, squared_path
 MAX_PRIME = 1 << 16
 
 # Largest n whose squared-path homology checks run within budget: over
-# GF(2) and GF(3), every k at n = 18 takes about a minute of CPU, and each
-# further vertex costs about 2.5 times more.
+# GF(2) and GF(3), every k at n = 18 takes about 53 s of CPU (n = 17 about
+# 24 s; 2-vCPU VM, Python 3.11), and each further vertex costs about 2.2
+# times more.
 HOMOLOGY_LIMIT = 18
 
 # A rank computation samples finitely many coefficient fields; it can
@@ -72,10 +75,11 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
 
     Sparse column reduction: each column, held as a dict row -> residue,
     is reduced by the pivot column that owns its largest row until it
-    vanishes or its largest row is new; a new pivot is scaled to a leading
-    1 and kept under that row.  Keying by the largest row keeps fill-in
-    low on boundary matrices with lexicographically listed faces: keyed by
-    the smallest row, GF(3) ranks at k=6, n=14 cost about ten times more.
+    vanishes or its largest row is new; a new pivot is kept under that
+    row, scaled to a leading 1 unless it has one already (always so over
+    GF(2)).  Keying by the largest row keeps fill-in low on boundary
+    matrices with lexicographically listed faces: keyed by the smallest
+    row, GF(3) ranks at k=6, n=14 cost about ten times more.
     """
     field = PrimeField(p)
     pivots: dict[int, dict[int, int]] = {}
@@ -91,8 +95,12 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
-                scale = field.inv(col[low])
-                pivots[low] = {i: c * scale % p for i, c in col.items()}
+                lead = col[low]
+                if lead == 1:
+                    pivots[low] = col
+                else:
+                    scale = field.inv(lead)
+                    pivots[low] = {i: c * scale % p for i, c in col.items()}
                 break
             factor = col[low]
             for i, a in pivot.items():
@@ -141,54 +149,97 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
     faces_by_dim[d] lists the d-dimensional faces (cardinality d+1) as
     strictly increasing vertex tuples; the empty face is implicit.  Input
     must be downward closed; a missing subface is reported as the witness.
+
+    A d-face's subfaces are looked up in the order combinations() lists
+    them, which leaves out the last vertex first: the j-th one leaves out
+    position d-j and gets the sign (-1)^(d-j).
     """
     layers: list[list[tuple[int, ...]]] = []
+    indexes: list[dict[tuple[int, ...], int]] = []
     for d, layer in enumerate(faces_by_dim):
-        seen: list[tuple[int, ...]] = []
-        for f in layer:
-            t = tuple(f)
-            if len(t) != d + 1 or any(a >= b for a, b in zip(t, t[1:])):
+        faces = list(map(tuple, layer))
+        for t in faces:
+            if len(t) != d + 1 or not all(map(lt, t, t[1:])):
                 raise ValueError(f"dimension {d} face {t!r} is not a strictly increasing {d + 1}-tuple")
-            seen.append(t)
-        if len(set(seen)) != len(seen):
+        index = dict(zip(faces, count()))
+        if len(index) != len(faces):
             raise ValueError(f"duplicate faces in dimension {d}")
-        layers.append(seen)
+        layers.append(faces)
+        indexes.append(index)
     while layers and not layers[-1]:
         layers.pop()
     if not layers:
         return []
     matrices: list[BoundaryMatrix] = []
-    index: dict[tuple[int, ...], int] = {}
+    indexes.reverse()  # popped bottom up, so each index goes once the layer above has used it
+    below: dict[tuple[int, ...], int] = {}
     for d, layer in enumerate(layers):
         if not layer:
             raise ValueError(f"dimension {d} is empty below a populated dimension")
-        columns = []
-        for f in layer:
-            if d == 0:
-                columns.append(((0, 1),))
-                continue
-            entries = []
-            for pos in range(d + 1):
-                sub = f[:pos] + f[pos + 1 :]
-                if sub not in index:
-                    raise ValueError(f"not downward closed: face {f} present but subface {sub} missing")
-                entries.append((index[sub], (-1) ** pos))
-            columns.append(tuple(entries))
-        nrows = 1 if d == 0 else len(layers[d - 1])
-        matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(layer), columns=tuple(columns)))
-        index = {f: i for i, f in enumerate(layer)}
+        if d == 0:
+            columns = (((0, 1),),) * len(layer)
+        else:
+            rows = list(map(below.get, chain.from_iterable(map(combinations, layer, repeat(d)))))
+            if None in rows:
+                raise _missing_subface(layer, below)
+            # One (row, sign) pair object per row and sign, shared by every
+            # column holding it; zip(*[it] * m) deals them out in columns of m.
+            signed = {sign: [(row, sign) for row in range(len(below))] for sign in (1, -1)}
+            pairs = map(getitem, cycle([signed[(-1) ** (d - j)] for j in range(d + 1)]), rows)
+            columns = tuple(zip(*[pairs] * (d + 1)))
+        nrows = 1 if d == 0 else len(below)
+        matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(layer), columns=columns))
+        below = indexes.pop()
     return matrices
 
 
+def _missing_subface(layer: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int]) -> ValueError:
+    """The error naming the first face with a subface not in index, leaving out its first vertex first."""
+    for f in layer:
+        for pos in range(len(f)):
+            sub = f[:pos] + f[pos + 1 :]
+            if sub not in index:
+                return ValueError(f"not downward closed: face {f} present but subface {sub} missing")
+    raise AssertionError("every subface is present")
+
+
 def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
-    """Check boundary-of-boundary = 0 over the integers, column by column."""
+    """Check boundary-of-boundary = 0 over the integers, column by column.
+
+    Each column of the lower matrix is split once into the rows it adds
+    and the rows it subtracts, a row repeated |value| times.  A column of
+    the upper matrix composes to zero exactly when the rows its entries
+    add, as a multiset, are the rows they subtract.  Exact for any integer
+    entries; the row lists grow with the entries' absolute values, which
+    are 1 on a boundary.
+    """
     for low, high in zip(matrices, matrices[1:]):
+        split = []
+        for col in low.columns:
+            adds: list[int] = []
+            subs: list[int] = []
+            for row, value in col:
+                if value == 1:  # a boundary has only entries of 1 and -1
+                    adds.append(row)
+                elif value == -1:
+                    subs.append(row)
+                elif value > 0:
+                    adds += [row] * value
+                else:
+                    subs += [row] * -value
+            split.append((tuple(adds), tuple(subs)))
         for col in high.columns:
-            acc: dict[int, int] = {}
-            for mid_row, sign in col:
-                for out_row, inner_sign in low.columns[mid_row]:
-                    acc[out_row] = acc.get(out_row, 0) + sign * inner_sign
-            if any(acc.values()):
+            plus: list[int] = []
+            minus: list[int] = []
+            for mid, sign in col:
+                adds, subs = split[mid]
+                if sign > 0:
+                    plus += adds * sign
+                    minus += subs * sign
+                else:
+                    plus += subs * -sign
+                    minus += adds * -sign
+            if sorted(plus) != sorted(minus):
                 return False
     return True
 

@@ -6,6 +6,7 @@ a sorted re-dump.  Exit codes: 0 ok, 1 verification failure, 2 usage,
 3 capacity.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -260,6 +261,74 @@ class TestEnum:
         with pytest.raises(SystemExit) as exc:
             main(["enum", "nosuchkind", "4", "7"])
         assert exc.value.code == 2
+
+
+def refuse_to_compute(*args):
+    raise AssertionError("computed past a closed-form command's cap")
+
+
+class TestClosedFormCaps:
+    """Oversized enum and table arguments exit 3 before anything is computed."""
+
+    @pytest.mark.parametrize(
+        "argv, name, message",
+        [
+            (("enum", "faceenum", "2", "20000"), "face_enumerator_closed", "n <= 1000"),
+            (("enum", "hpoly", "3", "1001"), "h_polynomial", "n <= 1000"),
+            (("enum", "hilbert", "4", "1001"), "hilbert_series", "n <= 1000"),
+            (("enum", "profile", "2", "1001"), "q_profile_closed", "n <= 1000"),
+            (("enum", "genfun", "201"), "diagonal_genfun", "r <= 200"),
+            (("enum", "layers", "3", "1000"), "nonface_layers", "sets * n <= 250000"),
+            (("enum", "layers", "14", "30"), "nonface_layers", "sets * n <= 250000"),
+            (("table", "--k-max", "100000"), "BettiTable", "k-max <= 1000"),
+            (("table", "--r-max", "101"), "BettiTable", "r-max <= 100"),
+            (("table", "--k-min", "2", "--k-max", "52", "--r-min", "2", "--r-max", "51"), "BettiTable", "cells <= 2500"),
+        ],
+    )
+    def test_refused_before_computing(self, capsys, monkeypatch, argv, name, message):
+        refuse = types.SimpleNamespace(from_closed=refuse_to_compute) if name == "BettiTable" else refuse_to_compute
+        monkeypatch.setattr(cutcx.cli, name, refuse)
+        code, out, err = run(capsys, *argv, "--no-timing")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enum", "faceenum", "2", "1000"),
+            ("enum", "genfun", "200"),
+            ("enum", "hpoly", "3", "1000"),
+            ("table", "--k-min", "2", "--k-max", "51", "--r-min", "2", "--r-max", "51"),
+        ],
+    )
+    def test_accepted_at_the_cap(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--no-timing")
+        assert code == 0 and out
+
+    def test_usage_errors_stay_usage_errors(self, capsys):
+        # Arguments the builders reject keep exit 2, whatever their size.
+        for argv in (("enum", "layers", "1", "500"), ("enum", "genfun", "2"), ("table", "--k-min", "9", "--k-max", "3")):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("error:")
+
+    def test_every_benchmark_op_is_admitted(self, capsys):
+        # The caps must admit every enum and table op the benchmark draws.
+        bench = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        if not bench.exists():
+            pytest.skip("benchmark sources not present")
+        spec = importlib.util.spec_from_file_location("bench_workloads", bench)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        ops = [
+            op for w in ("closed", "scan") for op in workloads.universe(w)
+            if op[0] in ("enum", "table") and "text" in op  # one format per op is enough
+        ]
+        assert len(ops) > 100
+        for op in ops:
+            code, _, err = run(capsys, *op)
+            assert code == 0, (op, err)
 
 
 class TestGraph:

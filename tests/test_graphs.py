@@ -6,6 +6,8 @@ squared paths for every subset up to n = 16, and the line-based graph
 format accepts exactly the documented lines.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,27 @@ class TestConstruction:
         assert not is_squared_path(complete_graph(6))
         assert not is_squared_path(Graph(4, [(1, 2), (2, 3), (3, 4)]))
         assert is_squared_path(Graph(3, [(1, 2), (2, 3), (1, 3)]))
+
+    def test_is_squared_path_matches_graph_equality(self):
+        # Reference: build the squared path and compare whole graphs.
+        def check(g):
+            assert is_squared_path(g) == (g == squared_path(g.n)), g
+
+        rng = random.Random(20261018)
+        for n in range(1, 13):
+            square = squared_path(n).edges()
+            check(squared_path(n))
+            others = [e for e in combinations(range(1, n + 1), 2) if e not in square]
+            for edge in square:
+                check(Graph(n, [e for e in square if e != edge]))
+                # One edge swapped for another keeps the edge count.
+                for other in others:
+                    check(Graph(n, [*(e for e in square if e != edge), other]))
+            for other in others:
+                check(Graph(n, [*square, other]))
+            for density in (0.2, 0.5, 0.8):
+                check(Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]))
+        assert is_squared_path(Graph(1)) and not is_squared_path(Graph(2))
 
     def test_canonical_vertex_set(self):
         assert canonical_vertex_set([3, 1, 3, 2]) == (1, 2, 3)

@@ -7,6 +7,7 @@ this module existed, so agreement is evidence, not circularity.
 
 import random
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -191,6 +192,9 @@ class TestChainComplexBuild:
     def test_missing_subface_is_reported(self):
         with pytest.raises(ValueError, match=re.escape("(2,)")):
             build_chain_complex([[(1,)], [(1, 2)]])
+        faces = [[(1,), (2,), (3,)], [(1, 2), (2, 3)], [(1, 2, 3)]]
+        with pytest.raises(ValueError, match=re.escape("face (1, 2, 3) present but subface (1, 3) missing")):
+            build_chain_complex(faces)
 
     def test_wrong_cardinality_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -199,10 +203,16 @@ class TestChainComplexBuild:
     def test_unsorted_tuple_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             build_chain_complex([[(1,), (2,)], [(2, 1)]])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_chain_complex([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)], [(1, 3, 2)]])
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             build_chain_complex([[(1,), (1,)]])
+        with pytest.raises(ValueError, match="duplicate"):
+            build_chain_complex([[(1,), (2,)], [(1, 2), (1, 2)]])
+        with pytest.raises(ValueError, match="duplicate"):
+            build_chain_complex([[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)], [(1, 2, 3), (1, 2, 3)]])
 
     def test_interior_empty_layer_rejected(self):
         with pytest.raises(ValueError, match="empty below"):
@@ -221,6 +231,43 @@ class TestChainComplexBuild:
             for col in m.columns:
                 assert len(col) == m.dim + 1
 
+    def test_columns_match_slicing_reference_on_squared_paths(self):
+        for n in range(2, 11):
+            for k in range(2, n + 1):
+                faces = faces_by_dimension(squared_path(n), k)
+                assert sorted_columns(build_chain_complex(faces)) == reference_columns(faces), (k, n)
+
+    def test_columns_match_slicing_reference_on_random_complexes(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            faces = random_complex(rng, n)
+            assert sorted_columns(build_chain_complex(faces)) == reference_columns(faces), faces
+
+
+def random_complex(rng: random.Random, n: int) -> list[list[tuple[int, ...]]]:
+    """Faces by dimension of the complex generated by a few random facets on 1..n."""
+    facets = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))) for _ in range(rng.randint(1, 4))]
+    faces = {sub for f in facets for size in range(1, len(f) + 1) for sub in combinations(f, size)}
+    return [sorted(f for f in faces if len(f) == d + 1) for d in range(max(map(len, facets)))]
+
+
+def reference_columns(faces_by_dim: list[list[tuple[int, ...]]]) -> list[list[list[tuple[int, int]]]]:
+    """Sorted boundary columns: the face without its vertex at position pos, signed (-1)^pos."""
+    out = []
+    for d, layer in enumerate(faces_by_dim):
+        if d == 0:
+            out.append([[(0, 1)] for _ in layer])
+            continue
+        index = {f: i for i, f in enumerate(faces_by_dim[d - 1])}
+        out.append([sorted((index[f[:pos] + f[pos + 1 :]], (-1) ** pos) for pos in range(d + 1)) for f in layer])
+    return out
+
+
+def sorted_columns(matrices: list[BoundaryMatrix]) -> list[list[list[tuple[int, int]]]]:
+    """Each column's (row, sign) pairs, sorted, so the order within a column does not count."""
+    return [[sorted(col) for col in m.columns] for m in matrices]
+
 
 class TestComposition:
     def test_vanishes_on_real_complexes(self):
@@ -234,6 +281,80 @@ class TestComposition:
         assert not composition_vanishes([low, high])
         with pytest.raises(RuntimeError, match="composition"):
             betti_numbers([low, high], 2)
+
+    def test_one_flipped_sign_is_caught(self):
+        matrices = complex_for(3, 7)
+        d2 = matrices[2]
+        assert composition_vanishes(matrices)
+        for j in (0, d2.ncols // 2, d2.ncols - 1):
+            for e in range(len(d2.columns[j])):
+                col = list(d2.columns[j])
+                row, sign = col[e]
+                col[e] = (row, -sign)
+                columns = d2.columns[:j] + (tuple(col),) + d2.columns[j + 1 :]
+                broken = [*matrices[:2], replace(d2, columns=columns), *matrices[3:]]
+                assert not composition_vanishes(broken), (j, e)
+                assert not reference_vanishes(broken), (j, e)
+
+    def test_integer_entries_match_dict_accumulation(self):
+        # Entries of 2, repeated rows and zero entries, on real boundaries
+        # rewritten so that dd = 0 still holds, and on perturbed ones.
+        matrices = complex_for(3, 6)
+        low, high = matrices[1], matrices[2]
+        doubled = replace(high, columns=tuple(tuple((i, 2 * s) for i, s in col) for col in high.columns))
+        repeated = replace(low, columns=tuple(((i, 2 * s), (i, -s), *rest) for (i, s), *rest in low.columns))
+        zeroed = replace(high, columns=tuple((*col, (col[0][0], 0)) for col in high.columns))
+        tripled_low = replace(low, columns=tuple(tuple((i, 3 * s) for i, s in col) for col in low.columns))
+        cases = [
+            [low, doubled],
+            [repeated, high],
+            [low, zeroed],
+            [tripled_low, doubled],
+            [repeated, zeroed],
+        ]
+        for pair in cases:
+            assert composition_vanishes(pair) and reference_vanishes(pair)
+        rng = random.Random(20261020)
+        for _ in range(200):
+            pair = random_pair(rng)
+            assert composition_vanishes(pair) == reference_vanishes(pair), pair
+        for pair in cases:
+            for _ in range(20):
+                a, b = pair
+                j = rng.randrange(b.ncols)
+                col = list(b.columns[j])
+                e = rng.randrange(len(col))
+                col[e] = (col[e][0], col[e][1] + rng.choice((-2, -1, 1, 2)))
+                bumped = [a, replace(b, columns=b.columns[:j] + (tuple(col),) + b.columns[j + 1 :])]
+                assert composition_vanishes(bumped) == reference_vanishes(bumped), bumped
+
+
+def reference_vanishes(matrices: list[BoundaryMatrix]) -> bool:
+    """Boundary composition over the integers, by dict accumulation per column."""
+    for low, high in zip(matrices, matrices[1:]):
+        for col in high.columns:
+            acc: dict[int, int] = {}
+            for mid_row, sign in col:
+                for out_row, inner_sign in low.columns[mid_row]:
+                    acc[out_row] = acc.get(out_row, 0) + sign * inner_sign
+            if any(acc.values()):
+                return False
+    return True
+
+
+def random_pair(rng: random.Random) -> list[BoundaryMatrix]:
+    """Two small composable matrices with entries in -2..2 and rows that may repeat."""
+    nrows, nmid, ncols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    values = (-2, -1, -1, 0, 1, 1, 2)
+
+    def columns(count: int, rows: int) -> tuple:
+        return tuple(
+            tuple((rng.randrange(rows), rng.choice(values)) for _ in range(rng.randint(0, 4))) for _ in range(count)
+        )
+
+    low = BoundaryMatrix(dim=1, nrows=nrows, ncols=nmid, columns=columns(nmid, nrows))
+    high = BoundaryMatrix(dim=2, nrows=nmid, ncols=ncols, columns=columns(ncols, nmid))
+    return [low, high]
 
 
 class TestFrozenBettiVectors:
