@@ -26,7 +26,7 @@ from .complexes import f_vector_bruteforce  # unused here; kept because bench/tr
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
 from .graphs import CapacityError, is_squared_path, parse_graph
 from .homology import PrimeField
-from .verification import SCOPES, RunReport, run_jobs, scope_jobs, seed_jobs
+from .verification import SCOPES, run_jobs, scope_jobs, seed_jobs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -191,17 +191,18 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, View]:
     else:
         scope, n_max = args.scope, args.n_max
         jobs = scope_jobs(scope, n_max, primes)
-    report = RunReport(scope=scope, n_max=n_max, primes=primes, checks=run_jobs(jobs))
-    checks = report.checks
-    return EXIT_OK if report.ok else EXIT_VERIFY, {
+    checks = run_jobs(jobs)
+    failed = sum(not c.ok for c in checks)
+    passed = len(checks) - failed
+    return EXIT_VERIFY if failed else EXIT_OK, {
         "json": lambda: {
             "command": "verify",
             "scope": scope,
             "n_max": n_max,
             "primes": primes,
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
-            "passed": report.passed,
-            "failed": report.failed,
+            "passed": passed,
+            "failed": failed,
         },
         "csv": lambda: [
             ["name", "ok", "detail"],
@@ -209,7 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, View]:
         ],
         "text": lambda: "\n".join([
             *(f"PASS {c.name}" if c.ok else f"FAIL {c.name}: {c.detail}" for c in checks),
-            f"checks={len(checks)} passed={report.passed} failed={report.failed}"
+            f"checks={len(checks)} passed={passed} failed={failed}"
             f" scope={scope} n_max={n_max} primes={','.join(map(str, primes))}",
         ]),
     }

@@ -226,19 +226,14 @@ def hilbert_series(k: int, n: int) -> RationalGenFun:
     return RationalGenFun(numerator=h_polynomial(k, n), pole_order=n - k)
 
 
-TABLE_PROVENANCES = ("closed-form",)
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Grid of top Betti numbers indexed by (k, r), tagged with how it was computed."""
 
     entries: dict[tuple[int, int], int]
-    provenance: str
+    provenance = "closed-form"  # a class constant: every table comes from beta_closed
 
     def __post_init__(self):
-        if self.provenance not in TABLE_PROVENANCES:
-            raise ValueError(f"provenance must be one of {TABLE_PROVENANCES}")
         for (k, r), v in self.entries.items():
             if v < 0:
                 raise ValueError(f"negative entry at k={k}, r={r}")
@@ -257,7 +252,7 @@ class BettiTable:
     @staticmethod
     def from_closed(k_values, r_values) -> "BettiTable":
         entries = {(k, r): beta_closed(k, k + r) for k in k_values for r in r_values}
-        return BettiTable(entries=entries, provenance="closed-form")
+        return BettiTable(entries=entries)
 
     def to_text_grid(self) -> str:
         """Aligned text grid, rows by r, columns by k; byte-stable for fixed entries."""

@@ -51,7 +51,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p) or p >= MAX_PRIME:
+        if not isinstance(p, int) or p >= MAX_PRIME or not is_prime(p):
             raise ValueError(f"modulus must be a prime below 2^16, got {p!r}")
         self.p = p
 

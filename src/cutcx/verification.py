@@ -1,13 +1,18 @@
 """Cross-route verification suites: brute force against closed forms.
 
-Each suite returns CheckResult records with stable names so repeated runs
-produce identical reports.  The reference grid of top Betti numbers is
-frozen here independently of beta_closed and anchors the table checks.
+Each check is a function of its parameters that returns its failure
+witnesses; an empty list is a pass.  A suite is a flat list of (printed
+name, zero-argument thunk) pairs, and run_jobs turns each into a
+CheckResult.  Checks look the library functions up as module globals when
+they run, so a wrapper patched into this module takes effect.  The
+reference grid of top Betti numbers is frozen here independently of
+beta_closed and anchors the table check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .complements import q_profile_bruteforce, q_profile_closed
@@ -48,217 +53,145 @@ class CheckResult:
 
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
 
-@dataclass
-class RunReport:
-    """Everything a verify run produced: echo, ranges and verdicts."""
-
-    scope: str
-    n_max: int
-    primes: tuple[int, ...]
-    checks: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> int:
-        return sum(1 for c in self.checks if c.ok)
-
-    @property
-    def failed(self) -> int:
-        return sum(1 for c in self.checks if not c.ok)
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-Job = tuple[str, Callable[[], CheckResult]]
+Job = tuple[str, Callable[[], list[str]]]
 
 
 def run_jobs(jobs: Sequence[Job], _workers: object = None) -> list[CheckResult]:
-    """Run named check thunks in order."""
+    """Run named checks in order; a check passes when it returns no witnesses."""
     # _workers is ignored: bench/tracer.py's run_jobs wrapper still passes a worker count.
-    return [thunk() for _, thunk in jobs]
+    results = []
+    for name, thunk in jobs:
+        bad = thunk()
+        results.append(CheckResult(name, not bad, "; ".join(bad)))
+    return results
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, ok=ok, detail="" if ok else detail)
+# -- checks: each returns its failure witnesses ------------------------------
 
 
-# -- individual suites -------------------------------------------------------
+def check_table() -> list[str]:
+    table = BettiTable.from_closed(range(3, 11), range(3, 7))
+    return [
+        f"k={k} r={r}: closed {table.value(k, r)} != reference {v}"
+        for (k, r), v in sorted(REFERENCE_TABLE.items())
+        if table.value(k, r) != v
+    ]
 
 
-def table_jobs() -> list[Job]:
-    def run() -> CheckResult:
-        table = BettiTable.from_closed(range(3, 11), range(3, 7))
-        bad = [
-            f"k={k} r={r}: closed {table.value(k, r)} != reference {v}"
-            for (k, r), v in sorted(REFERENCE_TABLE.items())
-            if table.value(k, r) != v
-        ]
-        return _check("table r=3..6 k=3..10", not bad, "; ".join(bad))
-
-    return [("table", run)]
+def check_profile(k: int, n: int) -> list[str]:
+    brute = q_profile_bruteforce(squared_path(n), k)
+    closed = q_profile_closed(k, n)
+    return [] if brute.counts == closed.counts else [f"brute {brute.counts} != closed {closed.counts}"]
 
 
-def profile_jobs(n_max: int) -> list[Job]:
-    jobs: list[Job] = []
-    for n in range(4, n_max + 1):
-        for k in range(2, n - 1):
-            def run(k: int = k, n: int = n) -> CheckResult:
-                brute = q_profile_bruteforce(squared_path(n), k)
-                closed = q_profile_closed(k, n)
-                return _check(
-                    f"profile k={k} n={n}",
-                    brute.counts == closed.counts,
-                    f"brute {brute.counts} != closed {closed.counts}",
-                )
-            jobs.append((f"profile k={k} n={n}", run))
-    return jobs
+def check_fvector(k: int, n: int) -> list[str]:
+    fv = f_vector_bruteforce(squared_path(n), k)
+    closed = face_enumerator_closed(k, n)
+    brute_coeffs = [] if fv.is_void else list(fv.counts)
+    if brute_coeffs == closed.coeff_list() and reduced_euler(fv) == -closed(-1):
+        return []
+    return [f"brute {brute_coeffs} vs closed {closed.coeff_list()} (euler {reduced_euler(fv)} vs {-closed(-1)})"]
 
 
-def fvector_jobs(n_max: int) -> list[Job]:
-    jobs: list[Job] = []
-    for n in range(4, n_max + 1):
-        for k in range(2, n - 1):
-            def run(k: int = k, n: int = n) -> CheckResult:
-                fv = f_vector_bruteforce(squared_path(n), k)
-                closed = face_enumerator_closed(k, n)
-                brute_coeffs = [] if fv.is_void else list(fv.counts)
-                ok = brute_coeffs == closed.coeff_list()
-                euler_ok = reduced_euler(fv) == -closed(-1)
-                return _check(
-                    f"fvector k={k} n={n}",
-                    ok and euler_ok,
-                    f"brute {brute_coeffs} vs closed {closed.coeff_list()}"
-                    f" (euler {reduced_euler(fv)} vs {-closed(-1)})",
-                )
-            jobs.append((f"fvector k={k} n={n}", run))
-    return jobs
+def check_homology(k: int, n: int, primes: tuple[int, ...]) -> list[str]:
+    return list(verify_concentration(k, n, primes).mismatches)
+
+
+def check_vanishing(k: int, primes: tuple[int, ...]) -> list[str]:
+    report = verify_concentration(k, k + 2, primes)
+    closed = beta_closed(k, k + 2)
+    return [] if report.ok and closed == 0 else [f"closed {closed}; " + "; ".join(report.mismatches)]
+
+
+def check_recurrence(r: int) -> list[str]:
+    cert = verify_recurrence(r, 40)
+    bad = [f"k={e.k} ({e.window}) -> {e.value}" for e in cert.entries if not e.ok]
+    return bad if cert.symbolic_zero else ["symbolic difference nonzero", *bad]
+
+
+def check_sharpness(r: int) -> list[str]:
+    got = sharp_difference(r)
+    lead = leading_coefficient(r)
+    poly = diagonal_poly(r)
+    top = poly.coefficient(poly.degree)
+    if got == r - 2 and top == lead:
+        return []
+    return [f"difference constant {got} (want {r - 2}), leading {top} (want {lead})"]
+
+
+def check_diagonal(r: int) -> list[str]:
+    poly = diagonal_poly(r)
+    return [
+        f"k={k}: poly {poly(k)} != closed {beta_closed(k, k + r)}"
+        for k in range(2, 41)
+        if poly(k) != beta_closed(k, k + r)
+    ][:3]
+
+
+def check_binomial_basis(k: int) -> list[str]:
+    closed_form = beta_k4 if k == 4 else beta_k5
+    return [f"n={n}" for n in range(k + 3, 61) if closed_form(n) != beta_closed(k, n)]
+
+
+def check_genfun(r: int) -> list[str]:
+    gf = diagonal_genfun(r)
+    poly = diagonal_poly(r)
+    series = gf.series(51)
+    bad = [] if gf.is_canonical else ["numerator shares a (1-x) factor"]
+    if series[0] != 0:
+        bad.append(f"k=0 coefficient {series[0]} != 0")
+    bad += [f"k={k}: {series[k]} != {poly(k)}" for k in range(1, 51) if series[k] != poly(k)]
+    return bad[:3]
+
+
+def check_hilbert_closed(n: int) -> list[str]:
+    bad = []
+    for k in range(2, n - 1):
+        h = h_polynomial(k, n)
+        r = n - k
+        if h.coefficient(0) != 1:
+            bad.append(f"k={k}: h_0 = {h.coefficient(0)}")
+        if h.coefficient(r) != beta_closed(k, n):
+            bad.append(f"k={k}: h_{r} = {h.coefficient(r)} != {beta_closed(k, n)}")
+        first = RationalGenFun(numerator=h, pole_order=r).series(2)[1]
+        want = n if r >= 3 else n - 2
+        if first != want:
+            bad.append(f"k={k}: degree-1 value {first} != {want}")
+    return bad[:3]
+
+
+def check_hilbert_series(k: int, n: int) -> list[str]:
+    fv = f_vector_bruteforce(squared_path(n), k)
+    series = hilbert_series(k, n).series(7)
+    wants = [1] + [
+        sum(fv.f(p) * binom(d - 1, p - 1) for p in range(1, fv.max_cardinality + 1)) for d in range(1, 7)
+    ]
+    return [f"d={d}: {got} != {want}" for d, (got, want) in enumerate(zip(series, wants)) if got != want]
+
+
+def check_seed_recurrence(r: int) -> list[str]:
+    return [] if verify_recurrence(r, r + 10).ok else ["recurrence failed"]
+
+
+# -- suites ------------------------------------------------------------------
+
+TABLE_JOB: Job = ("table r=3..6 k=3..10", check_table)
 
 
 def homology_jobs(n_max: int, primes: tuple[int, ...]) -> list[Job]:
-    jobs: list[Job] = []
-    for n in range(5, n_max + 1):
-        for k in range(2, n - 2):
-            def run(k: int = k, n: int = n) -> CheckResult:
-                report = verify_concentration(k, n, primes)
-                return _check(f"homology k={k} n={n}", report.ok, "; ".join(report.mismatches))
-            jobs.append((f"homology k={k} n={n}", run))
-    for k in range(2, max(2, n_max - 2) + 1):
-        def run(k: int = k) -> CheckResult:
-            report = verify_concentration(k, k + 2, primes)
-            closed_zero = beta_closed(k, k + 2) == 0
-            return _check(
-                f"vanishing k={k} n={k + 2}",
-                report.ok and closed_zero,
-                f"closed {beta_closed(k, k + 2)}; " + "; ".join(report.mismatches),
-            )
-        jobs.append((f"vanishing k={k} n={k + 2}", run))
-    return jobs
-
-
-def recurrence_jobs() -> list[Job]:
-    jobs: list[Job] = []
-    for r in range(3, 9):
-        def run_rec(r: int = r) -> CheckResult:
-            cert = verify_recurrence(r, 40)
-            bad = [f"k={e.k} ({e.window}) -> {e.value}" for e in cert.entries if not e.ok]
-            if not cert.symbolic_zero:
-                bad.insert(0, "symbolic difference nonzero")
-            return _check(f"recurrence r={r} k<=40", cert.ok, "; ".join(bad))
-        jobs.append((f"recurrence r={r}", run_rec))
-    for r in range(3, 13):
-        def run_sharp(r: int = r) -> CheckResult:
-            got = sharp_difference(r)
-            lead = leading_coefficient(r)
-            poly = diagonal_poly(r)
-            lead_ok = poly.coefficient(poly.degree) == lead
-            return _check(
-                f"sharpness r={r}",
-                got == r - 2 and lead_ok,
-                f"difference constant {got} (want {r - 2}), leading {poly.coefficient(poly.degree)} (want {lead})",
-            )
-        jobs.append((f"sharpness r={r}", run_sharp))
-    for r in range(3, 9):
-        def run_diag(r: int = r) -> CheckResult:
-            poly = diagonal_poly(r)
-            bad = [
-                f"k={k}: poly {poly(k)} != closed {beta_closed(k, k + r)}"
-                for k in range(2, 41)
-                if poly(k) != beta_closed(k, k + r)
-            ]
-            return _check(f"diagonal r={r} k<=40", not bad, "; ".join(bad[:3]))
-        jobs.append((f"diagonal r={r}", run_diag))
-
-    def run_k4() -> CheckResult:
-        bad = [f"n={n}" for n in range(7, 61) if beta_k4(n) != beta_closed(4, n)]
-        return _check("binomial-basis k=4 n<=60", not bad, "; ".join(bad))
-
-    def run_k5() -> CheckResult:
-        bad = [f"n={n}" for n in range(8, 61) if beta_k5(n) != beta_closed(5, n)]
-        return _check("binomial-basis k=5 n<=60", not bad, "; ".join(bad))
-
-    jobs.append(("binomial-basis k=4", run_k4))
-    jobs.append(("binomial-basis k=5", run_k5))
-    return jobs
-
-
-def genfun_jobs() -> list[Job]:
-    jobs: list[Job] = []
-    for r in range(3, 9):
-        def run(r: int = r) -> CheckResult:
-            gf = diagonal_genfun(r)
-            poly = diagonal_poly(r)
-            series = gf.series(51)
-            bad = [f"k={k}: {series[k]} != {poly(k)}" for k in range(1, 51) if series[k] != poly(k)]
-            if series[0] != 0:
-                bad.insert(0, f"k=0 coefficient {series[0]} != 0")
-            if not gf.is_canonical:
-                bad.insert(0, "numerator shares a (1-x) factor")
-            return _check(f"genfun r={r} terms<=50", not bad, "; ".join(bad[:3]))
-        jobs.append((f"genfun r={r}", run))
-    return jobs
-
-
-def hilbert_jobs(n_max_closed: int = 40, n_max_series: int = 10) -> list[Job]:
-    jobs: list[Job] = []
-    for n in range(4, n_max_closed + 1):
-        def run_top(n: int = n) -> CheckResult:
-            bad = []
-            for k in range(2, n - 1):
-                h = h_polynomial(k, n)
-                r = n - k
-                if h.coefficient(0) != 1:
-                    bad.append(f"k={k}: h_0 = {h.coefficient(0)}")
-                if h.coefficient(r) != beta_closed(k, n):
-                    bad.append(f"k={k}: h_{r} = {h.coefficient(r)} != {beta_closed(k, n)}")
-                first = RationalGenFun(numerator=h, pole_order=r).series(2)[1]
-                want = n if r >= 3 else n - 2
-                if first != want:
-                    bad.append(f"k={k}: degree-1 value {first} != {want}")
-            return _check(f"hilbert closed n={n}", not bad, "; ".join(bad[:3]))
-        jobs.append((f"hilbert closed n={n}", run_top))
-    for n in range(4, min(n_max_series, FULL_SCAN_LIMIT) + 1):
-        for k in range(2, n - 1):
-            def run_series(k: int = k, n: int = n) -> CheckResult:
-                fv = f_vector_bruteforce(squared_path(n), k)
-                series = hilbert_series(k, n).series(7)
-                bad = []
-                for d in range(7):
-                    want = 1 if d == 0 else sum(
-                        fv.f(p) * binom(d - 1, p - 1) for p in range(1, fv.max_cardinality + 1)
-                    )
-                    if series[d] != want:
-                        bad.append(f"d={d}: {series[d]} != {want}")
-                return _check(f"hilbert series k={k} n={n}", not bad, "; ".join(bad))
-            jobs.append((f"hilbert series k={k} n={n}", run_series))
-    return jobs
+    return [
+        *((f"homology k={k} n={n}", partial(check_homology, k, n, primes))
+          for n in range(5, n_max + 1) for k in range(2, n - 2)),
+        *((f"vanishing k={k} n={k + 2}", partial(check_vanishing, k, primes))
+          for k in range(2, max(2, n_max - 2) + 1)),
+    ]
 
 
 def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
-    """Assemble the job list for one verify scope (or all of them)."""
+    """Assemble the job list for one verify scope (or all of them, after the table)."""
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
     if n_max < 4:
@@ -267,31 +200,32 @@ def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
         raise CapacityError(f"n_max={n_max} exceeds the supported limit {FULL_SCAN_LIMIT}")
     if scope in ("homology", "all") and n_max > HOMOLOGY_LIMIT:
         raise CapacityError(f"n_max={n_max} exceeds the homology limit {HOMOLOGY_LIMIT}")
-    jobs: list[Job] = []
-    if scope in ("all",):
-        jobs += table_jobs()
-    if scope in ("profile", "all"):
-        jobs += profile_jobs(n_max)
-    if scope in ("fvector", "all"):
-        jobs += fvector_jobs(n_max)
-    if scope in ("homology", "all"):
-        jobs += homology_jobs(n_max, primes)
-    if scope in ("recurrence", "all"):
-        jobs += recurrence_jobs()
-    if scope in ("genfun", "all"):
-        jobs += genfun_jobs()
-    if scope in ("hilbert", "all"):
-        jobs += hilbert_jobs(n_max_series=min(n_max, 10))
-    return jobs
+    pairs = [(k, n) for n in range(4, n_max + 1) for k in range(2, n - 1)]
+    suites: dict[str, list[Job]] = {
+        "profile": [(f"profile k={k} n={n}", partial(check_profile, k, n)) for k, n in pairs],
+        "fvector": [(f"fvector k={k} n={n}", partial(check_fvector, k, n)) for k, n in pairs],
+        "homology": homology_jobs(n_max, primes),
+        "recurrence": [
+            *((f"recurrence r={r} k<=40", partial(check_recurrence, r)) for r in range(3, 9)),
+            *((f"sharpness r={r}", partial(check_sharpness, r)) for r in range(3, 13)),
+            *((f"diagonal r={r} k<=40", partial(check_diagonal, r)) for r in range(3, 9)),
+            *((f"binomial-basis k={k} n<=60", partial(check_binomial_basis, k)) for k in (4, 5)),
+        ],
+        "genfun": [(f"genfun r={r} terms<=50", partial(check_genfun, r)) for r in range(3, 9)],
+        "hilbert": [
+            *((f"hilbert closed n={n}", partial(check_hilbert_closed, n)) for n in range(4, 41)),
+            *((f"hilbert series k={k} n={n}", partial(check_hilbert_series, k, n)) for k, n in pairs if n <= 10),
+        ],
+    }
+    if scope != "all":
+        return suites[scope]
+    return [TABLE_JOB, *(job for suite in suites.values() for job in suite)]
 
 
 def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:
     """Minimal fast suite: table reproduction, small recurrences, small homology."""
-    jobs = table_jobs()
-    for r in range(3, 6):
-        def run(r: int = r) -> CheckResult:
-            cert = verify_recurrence(r, r + 10)
-            return _check(f"seed recurrence r={r}", cert.ok, "recurrence failed")
-        jobs.append((f"seed recurrence r={r}", run))
-    jobs += homology_jobs(9, primes)
-    return jobs
+    return [
+        TABLE_JOB,
+        *((f"seed recurrence r={r}", partial(check_seed_recurrence, r)) for r in range(3, 6)),
+        *homology_jobs(9, primes),
+    ]

@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import cutcx
-from cutcx import complements, complexes, graphs, verification
+from cutcx import complements, complexes, formulas, graphs, homology, verification
 from cutcx.cli import main
+from cutcx.complements import BadProfile
+from cutcx.polynomials import Polynomial, RationalGenFun
 
 GOLDEN_TABLE = """\
 r\\k   3   4    5    6    7     8     9    10
@@ -438,6 +440,107 @@ class TestGraph:
         assert "p=2 f=15\np=3 f=16\n" in out
 
 
+def kn_pairs(n_min: int, n_max: int, gap: int) -> list[tuple[int, int]]:
+    """(k, n) with n_min <= n <= n_max and 2 <= k <= n - gap, in check order."""
+    return [(k, n) for n in range(n_min, n_max + 1) for k in range(2, n - gap + 1)]
+
+
+def homology_names(n_max: int) -> list[str]:
+    return [*(f"homology k={k} n={n}" for k, n in kn_pairs(5, n_max, 3)),
+            *(f"vanishing k={k} n={k + 2}" for k in range(2, n_max - 1))]
+
+
+def hilbert_names(n_max: int) -> list[str]:
+    return [*(f"hilbert closed n={n}" for n in range(4, 41)),
+            *(f"hilbert series k={k} n={n}" for k, n in kn_pairs(4, min(n_max, 10), 2))]
+
+
+TABLE_NAME = "table r=3..6 k=3..10"
+RECURRENCE_NAMES = [
+    *(f"recurrence r={r} k<=40" for r in range(3, 9)),
+    *(f"sharpness r={r}" for r in range(3, 13)),
+    *(f"diagonal r={r} k<=40" for r in range(3, 9)),
+    "binomial-basis k=4 n<=60",
+    "binomial-basis k=5 n<=60",
+]
+GENFUN_NAMES = [f"genfun r={r} terms<=50" for r in range(3, 9)]
+SEED_NAMES = [TABLE_NAME, *(f"seed recurrence r={r}" for r in range(3, 6)), *homology_names(9)]
+ALL_NAMES_10 = [
+    TABLE_NAME,
+    *(f"profile k={k} n={n}" for k, n in kn_pairs(4, 10, 2)),
+    *(f"fvector k={k} n={n}" for k, n in kn_pairs(4, 10, 2)),
+    *homology_names(10),
+    *RECURRENCE_NAMES,
+    *GENFUN_NAMES,
+    *hilbert_names(10),
+]
+
+
+def wrong_at(fn, at, spoil):
+    """fn, except that its value at the arguments `at` goes through `spoil`."""
+    def patched(*args):
+        value = fn(*args)
+        return spoil(value) if args == at else value
+    return patched
+
+
+def plus_one(value):
+    return value + 1
+
+
+def plus_x2(gf):
+    return RationalGenFun(numerator=gf.numerator + Polynomial([0, 0, 1]), pole_order=gf.pole_order)
+
+
+SEED_ARGV = ("--seed-check", "--primes", "2")
+HOMOLOGY_ARGV = ("--scope", "homology", "--n-max", "6", "--primes", "2")
+HILBERT_ARGV = ("--scope", "hilbert", "--n-max", "5")
+SEED_SUMMARY = "checks=25 passed=24 failed=1 scope=seed-check n_max=9 primes=2"
+HOMOLOGY_SUMMARY = "checks=6 passed=5 failed=1 scope=homology n_max=6 primes=2"
+RECURRENCE_SUMMARY = "checks=24 passed=23 failed=1 scope=recurrence n_max=10 primes=2,3"
+HILBERT_SUMMARY = "checks=40 passed=39 failed=1 scope=hilbert n_max=5 primes=2,3"
+
+# One run per kind of check with one closed form made wrong at one argument:
+# (module, name, arguments, spoil, verify argv, the run's check names,
+# the failing check, its detail, the summary line).
+FAILURE_GOLDENS = [
+    (formulas, "beta_closed", (10, 16), plus_one, SEED_ARGV, SEED_NAMES,
+     TABLE_NAME, "k=10 r=6: closed 3721 != reference 3720", SEED_SUMMARY),
+    (verification, "q_profile_closed", (3, 5),
+     lambda p: BadProfile(k=p.k, n=p.n, counts={**p.counts, 3: p.counts[3] + 1}),
+     ("--scope", "profile", "--n-max", "5"), [f"profile k={k} n={n}" for k, n in kn_pairs(4, 5, 2)],
+     "profile k=3 n=5", "brute {3: 8, 4: 2, 5: 0} != closed {3: 9, 4: 2, 5: 0}",
+     "checks=3 passed=2 failed=1 scope=profile n_max=5 primes=2,3"),
+    (verification, "face_enumerator_closed", (2, 5), lambda p: p + Polynomial([0, 1]),
+     ("--scope", "fvector", "--n-max", "5"), [f"fvector k={k} n={n}" for k, n in kn_pairs(4, 5, 2)],
+     "fvector k=2 n=5", "brute [1, 5, 7, 3] vs closed [1, 6, 7, 3] (euler 0 vs 1)",
+     "checks=3 passed=2 failed=1 scope=fvector n_max=5 primes=2,3"),
+    (homology, "beta_closed", (3, 6), plus_one, HOMOLOGY_ARGV, homology_names(6),
+     "homology k=3 n=6", "prime=2 betti=(0, 0, 1) expected=(0, 0, 2)", HOMOLOGY_SUMMARY),
+    (verification, "beta_closed", (3, 5), plus_one, HOMOLOGY_ARGV, homology_names(6),
+     "vanishing k=3 n=5", "closed 1; ", HOMOLOGY_SUMMARY),
+    (formulas, "beta_closed", (20, 23), plus_one, ("--scope", "recurrence"), RECURRENCE_NAMES,
+     "recurrence r=3 k<=40",
+     "k=20 (closed) -> 1; k=21 (closed) -> -3; k=22 (closed) -> 3; k=23 (closed) -> -1", RECURRENCE_SUMMARY),
+    (verification, "sharp_difference", (5,), plus_one, ("--scope", "recurrence"), RECURRENCE_NAMES,
+     "sharpness r=5", "difference constant 4 (want 3), leading 1/8 (want 1/8)", RECURRENCE_SUMMARY),
+    (verification, "beta_closed", (7, 11), plus_one, ("--scope", "recurrence"), RECURRENCE_NAMES,
+     "diagonal r=4 k<=40", "k=7: poly 85 != closed 86", RECURRENCE_SUMMARY),
+    (verification, "beta_k5", (10,), plus_one, ("--scope", "recurrence"), RECURRENCE_NAMES,
+     "binomial-basis k=5 n<=60", "n=10", RECURRENCE_SUMMARY),
+    (verification, "diagonal_genfun", (4,), plus_x2, ("--scope", "genfun"), GENFUN_NAMES,
+     "genfun r=4 terms<=50", "k=2: 1 != 0; k=3: 7 != 3; k=4: 21 != 11",
+     "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"),
+    (verification, "h_polynomial", (3, 8), lambda h: h + Polynomial([1]), HILBERT_ARGV, hilbert_names(5),
+     "hilbert closed n=8", "k=3: h_0 = 2; k=3: degree-1 value 13 != 8", HILBERT_SUMMARY),
+    (verification, "hilbert_series", (2, 5), plus_x2, HILBERT_ARGV, hilbert_names(5),
+     "hilbert series k=2 n=5", "d=2: 13 != 12; d=3: 25 != 22; d=4: 41 != 35; d=5: 61 != 51; d=6: 85 != 70",
+     HILBERT_SUMMARY),
+    (formulas, "beta_closed", (13, 16), plus_one, SEED_ARGV, SEED_NAMES,
+     "seed recurrence r=3", "recurrence failed", SEED_SUMMARY),
+]
+
+
 class TestVerify:
     def test_seed_check_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed-check", "--no-timing")
@@ -502,6 +605,28 @@ class TestVerify:
         assert code == 0
         assert out.rstrip("\n").split("\n")[-1].endswith("primes=5")
         assert seen == {(5,)}
+
+    @pytest.mark.parametrize(
+        "module, attr, at, spoil, argv, names, failing, detail, summary", FAILURE_GOLDENS,
+        ids=[failing.split("=")[0].rsplit(" ", 1)[0] for *_, failing, _, _ in FAILURE_GOLDENS],
+    )
+    def test_failure_golden(self, capsys, monkeypatch, module, attr, at, spoil, argv, names, failing, detail, summary):
+        monkeypatch.setattr(module, attr, wrong_at(getattr(module, attr), at, spoil))
+        code, out, err = run(capsys, "verify", *argv, "--no-timing")
+        assert failing in names
+        lines = [f"FAIL {name}: {detail}" if name == failing else f"PASS {name}" for name in names]
+        assert (code, err) == (1, "")
+        assert out == "\n".join([*lines, summary]) + "\n"
+
+    def test_check_names_in_order(self):
+        assert len(ALL_NAMES_10) == 180
+        assert [c.name for c in verification.run_jobs(verification.scope_jobs("all", 10, (2, 3)))] == ALL_NAMES_10
+        assert [c.name for c in verification.run_jobs(verification.seed_jobs((2, 3)))] == SEED_NAMES
+
+    def test_job_names_are_the_printed_names(self):
+        # The benchmark tracer tags each check's span with the name in its job pair.
+        assert [name for name, _ in verification.scope_jobs("all", 10, (2, 3))] == ALL_NAMES_10
+        assert [name for name, _ in verification.seed_jobs((2, 3))] == SEED_NAMES
 
     @pytest.mark.parametrize("n_max", ["3", "0", "-5"])
     def test_n_max_below_four_is_usage_error(self, capsys, n_max):

@@ -371,8 +371,4 @@ class TestBettiTable:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BettiTable(entries={(3, 3): 1}, provenance="guesswork")
-        with pytest.raises(ValueError):
-            BettiTable(entries={(3, 3): -1}, provenance="closed-form")
-        with pytest.raises(ValueError):
-            BettiTable(entries={(3, 3): 1}, provenance="homology-oracle")
+            BettiTable(entries={(3, 3): -1})

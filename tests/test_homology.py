@@ -63,6 +63,15 @@ class TestPrimeField:
             PrimeField(65537)
         assert PrimeField(65521).p == 65521
 
+    def test_huge_modulus_refused_before_trial_division(self, monkeypatch):
+        # Trial division of 2^61 - 1 would take about 1.5e9 steps.
+        def refuse(p):
+            raise AssertionError(f"is_prime({p}) called before the bound check")
+
+        monkeypatch.setattr(cutcx.homology, "is_prime", refuse)
+        with pytest.raises(ValueError):
+            PrimeField(2**61 - 1)
+
     def test_field_axioms_exhaustive_small(self):
         for p in (2, 3, 5, 7):
             field = PrimeField(p)
