@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator
 
 from .graphs import (
+    CapacityError,
     Graph,
     _connected_by_search,
     _gaps_at_most_two,
@@ -27,6 +28,8 @@ from .graphs import gap_connected, is_connected_induced  # unused here; kept bec
 from .polynomials import binom
 
 CONNECTIVITY_ENGINES = ("bfs", "gap")
+
+BAD_SET_LIMIT = 200_000  # bad sets of one size a scan may hold; C(20, 10) = 184,756 admits every n <= 20
 
 
 def connectivity_test(graph: Graph, connectivity: str | None = None) -> Callable[[tuple[int, ...]], bool]:
@@ -78,28 +81,43 @@ def is_bad(graph: Graph, k: int, subset: Iterable[int], connectivity: str | None
     return _all_k_subsets_connected(c, k, connectivity_test(graph, connectivity))
 
 
+def bad_sets_by_size(graph: Graph, k: int, conn: Callable[[tuple[int, ...]], bool]) -> Iterator[set[tuple[int, ...]]]:
+    """Yield the nonempty levels of k-bad sets, sizes k, k+1, ... in turn.
+
+    Level k is the connected k-sets; for m >= k an (m+1)-set is bad iff all its m-subsets are,
+    so each level grows from the one below.  A level past BAD_SET_LIMIT raises CapacityError.
+    """
+    n, m = graph.n, k
+    level = _capped(filter(conn, combinations(range(1, n + 1), k)), k)
+    while level:
+        yield level
+        # _capped consumes these candidates before level and m move on.
+        grown = (t + (v,) for t in level for v in range(t[-1] + 1, n + 1))
+        level = _capped((c for c in grown if all(map(level.__contains__, combinations(c, m)))), m + 1)
+        m += 1
+
+
+def _capped(sets: Iterable[tuple[int, ...]], m: int) -> set[tuple[int, ...]]:
+    level = set(islice(sets, BAD_SET_LIMIT + 1))
+    if len(level) > BAD_SET_LIMIT:
+        raise CapacityError(f"more than {BAD_SET_LIMIT} bad {m}-sets; the supported limit is {BAD_SET_LIMIT} per size")
+    return level
+
+
 def q_profile_bruteforce(graph: Graph, k: int, connectivity: str | None = None) -> BadProfile:
-    """Count k-bad sets of every size by scanning all subsets of size >= k."""
+    """Count k-bad sets of every size, growing them level by level from the connected k-sets."""
     n = graph.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "bad-set profile")
-    conn = connectivity_test(graph, connectivity)
-    counts: dict[int, int] = {}
-    vertices = range(1, n + 1)
-    for m in range(k, n + 1):
-        counts[m] = sum(1 for c in combinations(vertices, m) if _all_k_subsets_connected(c, k, conn))
+    counts = dict.fromkeys(range(k, n + 1), 0)
+    for m, level in enumerate(bad_sets_by_size(graph, k, connectivity_test(graph, connectivity)), start=k):
+        counts[m] = len(level)
     return BadProfile(k=k, n=n, counts=counts)
 
 
 def _all_k_subsets_connected(c: tuple[int, ...], k: int, conn: Callable[[tuple[int, ...]], bool]) -> bool:
     """The bad-set test proper, on a canonical set with a resolved engine."""
-    s = len(c) - k
-    if s >= 2:
-        # Try the spread witness first: its first two members sit s+1 apart,
-        # so on a squared path it is disconnected and settles the test at once.
-        if not conn((c[0],) + c[s + 1 : s + k]):
-            return False
     for t in combinations(c, k):
         if not conn(t):
             return False

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable
 
-from .complements import BadProfile, _all_k_subsets_connected, connectivity_test, q_profile_bruteforce, z_count
+from .complements import BadProfile, _all_k_subsets_connected, bad_sets_by_size, connectivity_test
+from .complements import q_profile_bruteforce, z_count
 from .complements import is_bad  # unused here; kept because bench/tracer.py wraps complexes.is_bad
 from .graphs import Graph, canonical_vertex_set, require_full_scan_capacity, squared_path
 from .polynomials import Polynomial, binom
@@ -190,18 +191,18 @@ def faces_by_dimension(graph: Graph, k: int, connectivity: str | None = None) ->
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "face enumeration")
-    conn = connectivity_test(graph, connectivity)
+    levels = list(bad_sets_by_size(graph, k, connectivity_test(graph, connectivity)))
     vertices = range(1, n + 1)
     out: list[list[tuple[int, ...]]] = []
     for p in range(1, n - k + 1):
-        # Complementing reverses lexicographic order, so the i-th p-set pairs
-        # with the i-th (n-p)-set counted from the end: its complement.
-        complements = reversed(list(combinations(vertices, n - p)))
-        layer = [
-            f
-            for f, c in zip(combinations(vertices, p), complements)
-            if not _all_k_subsets_connected(c, k, conn)
-        ]
+        if n - p - k >= len(levels):
+            layer = list(combinations(vertices, p))
+        else:
+            # A p-set is a face iff its complement is not bad.  Complementing reverses lex
+            # order, so the i-th p-set pairs with the i-th (n-p)-set from the end.
+            bad = levels[n - p - k]
+            complements = reversed(list(combinations(vertices, n - p)))
+            layer = [f for f, c in zip(combinations(vertices, p), complements) if c not in bad]
         if not layer:
             break
         out.append(layer)

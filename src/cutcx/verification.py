@@ -103,11 +103,11 @@ def check_homology(k: int, n: int, primes: tuple[int, ...]) -> list[str]:
 def check_vanishing(k: int, primes: tuple[int, ...]) -> list[str]:
     report = verify_concentration(k, k + 2, primes)
     closed = beta_closed(k, k + 2)
-    return [] if report.ok and closed == 0 else [f"closed {closed}; " + "; ".join(report.mismatches)]
+    return [] if report.ok and closed == 0 else [f"closed {closed}", *report.mismatches]
 
 
-def check_recurrence(r: int) -> list[str]:
-    cert = verify_recurrence(r, 40)
+def check_recurrence(r: int, k_max: int = 40) -> list[str]:
+    cert = verify_recurrence(r, k_max)
     bad = [f"k={e.k} ({e.window}) -> {e.value}" for e in cert.entries if not e.ok]
     return bad if cert.symbolic_zero else ["symbolic difference nonzero", *bad]
 
@@ -172,10 +172,6 @@ def check_hilbert_series(k: int, n: int) -> list[str]:
     return [f"d={d}: {got} != {want}" for d, (got, want) in enumerate(zip(series, wants)) if got != want]
 
 
-def check_seed_recurrence(r: int) -> list[str]:
-    return [] if verify_recurrence(r, r + 10).ok else ["recurrence failed"]
-
-
 # -- suites ------------------------------------------------------------------
 
 TABLE_JOB: Job = ("table r=3..6 k=3..10", check_table)
@@ -226,6 +222,6 @@ def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:
     """Minimal fast suite: table reproduction, small recurrences, small homology."""
     return [
         TABLE_JOB,
-        *((f"seed recurrence r={r}", partial(check_seed_recurrence, r)) for r in range(3, 6)),
+        *((f"seed recurrence r={r}", partial(check_recurrence, r, r + 10)) for r in range(3, 6)),
         *homology_jobs(9, primes),
     ]

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import cutcx
-from cutcx import complements, complexes, formulas, graphs, homology, verification
+from cutcx import complements, formulas, graphs, homology, verification
 from cutcx.cli import main
 from cutcx.complements import BadProfile
 from cutcx.polynomials import Polynomial, RationalGenFun
@@ -383,20 +383,33 @@ class TestGraph:
 
     @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
                              ids=["default", "method-powerset", "bfs"])
-    def test_one_bad_set_test_per_set(self, capsys, graph_file, monkeypatch, flags):
-        # The f-vector is read off the profile: one scan, each set of size >= k tested once.
+    def test_one_engine_test_per_k_subset(self, capsys, graph_file, monkeypatch, flags):
+        # Bad sets above size k grow from the level below, so the engine sees each k-set once and nothing larger.
         seen = []
-        original = complements._all_k_subsets_connected
 
-        def counting(c, k, conn):
-            seen.append(c)
-            return original(c, k, conn)
+        def counting(engine):
+            def wrapped(*args):
+                seen.append(args[-1])
+                return engine(*args)
+            return wrapped
 
-        for module in (complements, complexes):
-            monkeypatch.setattr(module, "_all_k_subsets_connected", counting)
+        for name in ("_connected_by_search", "_gaps_at_most_two"):
+            monkeypatch.setattr(complements, name, counting(getattr(complements, name)))
         code, _, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", *flags)
         assert code == 0
-        assert sorted(seen) == sorted(c for m in range(4, 8) for c in combinations(range(1, 8), m))
+        assert sorted(seen) == list(combinations(range(1, 8), 4))
+
+    def test_bad_set_cap(self, capsys, tmp_path, monkeypatch):
+        # K_10 with k = 2 makes every set of size >= 2 bad; its largest level holds C(10, 5) = 252 sets.
+        path = tmp_path / "k10.graph"
+        path.write_text("n 10\n" + "".join(f"e {u} {v}\n" for u, v in combinations(range(1, 11), 2)), encoding="utf-8")
+        monkeypatch.setattr(complements, "BAD_SET_LIMIT", 252)
+        code, out, _ = run(capsys, "graph", str(path), "--k", "2", "--no-timing")
+        assert code == 0 and "m=5 q=252\n" in out
+        monkeypatch.setattr(complements, "BAD_SET_LIMIT", 251)
+        code, out, err = run(capsys, "graph", str(path), "--k", "2", "--no-timing")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: more than 251 bad 5-sets")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "graph", str(tmp_path / "absent.graph"), "--k", "4")
@@ -518,7 +531,7 @@ FAILURE_GOLDENS = [
     (homology, "beta_closed", (3, 6), plus_one, HOMOLOGY_ARGV, homology_names(6),
      "homology k=3 n=6", "prime=2 betti=(0, 0, 1) expected=(0, 0, 2)", HOMOLOGY_SUMMARY),
     (verification, "beta_closed", (3, 5), plus_one, HOMOLOGY_ARGV, homology_names(6),
-     "vanishing k=3 n=5", "closed 1; ", HOMOLOGY_SUMMARY),
+     "vanishing k=3 n=5", "closed 1", HOMOLOGY_SUMMARY),
     (formulas, "beta_closed", (20, 23), plus_one, ("--scope", "recurrence"), RECURRENCE_NAMES,
      "recurrence r=3 k<=40",
      "k=20 (closed) -> 1; k=21 (closed) -> -3; k=22 (closed) -> 3; k=23 (closed) -> -1", RECURRENCE_SUMMARY),
@@ -537,7 +550,7 @@ FAILURE_GOLDENS = [
      "hilbert series k=2 n=5", "d=2: 13 != 12; d=3: 25 != 22; d=4: 41 != 35; d=5: 61 != 51; d=6: 85 != 70",
      HILBERT_SUMMARY),
     (formulas, "beta_closed", (13, 16), plus_one, SEED_ARGV, SEED_NAMES,
-     "seed recurrence r=3", "recurrence failed", SEED_SUMMARY),
+     "seed recurrence r=3", "k=13 (closed) -> 1", SEED_SUMMARY),
 ]
 
 

@@ -22,8 +22,9 @@ from cutcx import (
     squared_path,
     z_count,
 )
-from cutcx.complements import connectivity_test
-from cutcx.graphs import _connected_by_search, _gaps_at_most_two
+from cutcx import complements
+from cutcx.complements import bad_sets_by_size, connectivity_test
+from cutcx.graphs import CapacityError, _connected_by_search, _gaps_at_most_two
 
 
 class TestIsBad:
@@ -133,6 +134,53 @@ class TestProfiles:
         with pytest.raises(ValueError):
             prof.q(3)
         assert prof.to_text() == "k=4 n=7\nm=4 q=20\nm=5 q=3\nm=6 q=0\nm=7 q=0"
+
+
+def profile_by_definition(g, k):
+    """The definition itself: every set of size >= k tested on its own by the public is_bad."""
+    vertices = range(1, g.n + 1)
+    return {m: sum(is_bad(g, k, c) for c in combinations(vertices, m)) for m in range(k, g.n + 1)}
+
+
+class TestBadSetLevels:
+    """Bad sets grown level by level from the connected k-sets, against the definition."""
+
+    @staticmethod
+    def random_graphs():
+        rng = random.Random(20261019)
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for n in (5, 8, 10, 12):
+                yield Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+
+    def test_random_graphs_match_definition(self):
+        for g in self.random_graphs():
+            for k in range(2, g.n + 1):
+                assert q_profile_bruteforce(g, k).counts == profile_by_definition(g, k), (g, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_edgeless_and_complete_graphs_match_definition(self, n):
+        for g in (Graph(n), complete_graph(n)):
+            for k in range(2, n + 1):
+                assert q_profile_bruteforce(g, k).counts == profile_by_definition(g, k), (g, k)
+
+    def test_levels_are_the_bad_sets(self):
+        g = squared_path(9)
+        levels = list(bad_sets_by_size(g, 4, connectivity_test(g)))
+        assert [len(level) for level in levels] == [z_count(4, 9), 5]
+        assert levels[1] == {tuple(range(s, s + 5)) for s in range(1, 6)}
+
+    def test_cap_stops_before_an_oversized_level_is_held(self, monkeypatch):
+        # Every 5-subset of K_10 is connected; the level is cut off at the first set past the cap.
+        seen = []
+
+        def conn(t):
+            seen.append(t)
+            return True
+
+        monkeypatch.setattr(complements, "BAD_SET_LIMIT", 10)
+        with pytest.raises(CapacityError, match="more than 10 bad 5-sets"):
+            next(bad_sets_by_size(complete_graph(10), 5, conn))
+        assert len(seen) == 11
 
 
 class TestEngineResolution:

@@ -30,6 +30,7 @@ from cutcx import (
     squared_path,
     z_count,
 )
+from cutcx.graphs import CapacityError
 
 
 class TestDisconnectedSets:
@@ -214,6 +215,14 @@ class TestFacesByDimension:
     def test_no_vertices_cases(self):
         assert faces_by_dimension(complete_graph(4), 2) == []
         assert faces_by_dimension(Graph(4, []), 4) == []
+
+    def test_bad_set_cap(self, monkeypatch):
+        # K_10 with k = 2: every set of size >= 2 is bad, C(10, 5) = 252 of them at size 5.
+        monkeypatch.setattr(cutcx.complements, "BAD_SET_LIMIT", 252)
+        assert faces_by_dimension(complete_graph(10), 2) == []
+        monkeypatch.setattr(cutcx.complements, "BAD_SET_LIMIT", 251)
+        with pytest.raises(CapacityError, match="more than 251 bad 5-sets"):
+            faces_by_dimension(complete_graph(10), 2)
 
 
 class TestFaceScans:
