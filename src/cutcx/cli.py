@@ -8,6 +8,10 @@ error, 3 capacity exceeded.
 Each handler computes its result and returns (exit code, view).  A view
 maps each format to a thunk building that format's value: a JSON-ready
 object, CSV rows, or the text payload without its last newline.
+
+The parser is built once per process and reused by every main(argv) call:
+parse_args leaves the parser unchanged and returns a fresh namespace, and
+the handlers look library names up when they run.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import io
 import json
 import sys
 import time
+from functools import cache
 from typing import Any, Callable
 
 from .complements import q_profile_bruteforce, q_profile_closed, z_count
@@ -260,6 +265,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
 # -- entry point -------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text", help="output format")
@@ -303,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         code, view = args.handler(args)

@@ -187,7 +187,10 @@ def homology_jobs(n_max: int, primes: tuple[int, ...]) -> list[Job]:
 
 
 def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
-    """Assemble the job list for one verify scope (or all of them, after the table)."""
+    """Assemble the job list for one verify scope (or all of them, after the table).
+
+    Each suite is a thunk, so a single scope builds only its own jobs.
+    """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; expected one of {SCOPES}")
     if n_max < 4:
@@ -197,25 +200,25 @@ def scope_jobs(scope: str, n_max: int, primes: tuple[int, ...]) -> list[Job]:
     if scope in ("homology", "all") and n_max > HOMOLOGY_LIMIT:
         raise CapacityError(f"n_max={n_max} exceeds the homology limit {HOMOLOGY_LIMIT}")
     pairs = [(k, n) for n in range(4, n_max + 1) for k in range(2, n - 1)]
-    suites: dict[str, list[Job]] = {
-        "profile": [(f"profile k={k} n={n}", partial(check_profile, k, n)) for k, n in pairs],
-        "fvector": [(f"fvector k={k} n={n}", partial(check_fvector, k, n)) for k, n in pairs],
-        "homology": homology_jobs(n_max, primes),
-        "recurrence": [
+    suites: dict[str, Callable[[], list[Job]]] = {
+        "profile": lambda: [(f"profile k={k} n={n}", partial(check_profile, k, n)) for k, n in pairs],
+        "fvector": lambda: [(f"fvector k={k} n={n}", partial(check_fvector, k, n)) for k, n in pairs],
+        "homology": lambda: homology_jobs(n_max, primes),
+        "recurrence": lambda: [
             *((f"recurrence r={r} k<=40", partial(check_recurrence, r)) for r in range(3, 9)),
             *((f"sharpness r={r}", partial(check_sharpness, r)) for r in range(3, 13)),
             *((f"diagonal r={r} k<=40", partial(check_diagonal, r)) for r in range(3, 9)),
             *((f"binomial-basis k={k} n<=60", partial(check_binomial_basis, k)) for k in (4, 5)),
         ],
-        "genfun": [(f"genfun r={r} terms<=50", partial(check_genfun, r)) for r in range(3, 9)],
-        "hilbert": [
+        "genfun": lambda: [(f"genfun r={r} terms<=50", partial(check_genfun, r)) for r in range(3, 9)],
+        "hilbert": lambda: [
             *((f"hilbert closed n={n}", partial(check_hilbert_closed, n)) for n in range(4, 41)),
             *((f"hilbert series k={k} n={n}", partial(check_hilbert_series, k, n)) for k, n in pairs if n <= 10),
         ],
     }
     if scope != "all":
-        return suites[scope]
-    return [TABLE_JOB, *(job for suite in suites.values() for job in suite)]
+        return suites[scope]()
+    return [TABLE_JOB, *(job for build in suites.values() for job in build())]
 
 
 def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:

@@ -6,6 +6,8 @@ a sorted re-dump.  Exit codes: 0 ok, 1 verification failure, 2 usage,
 3 capacity.
 """
 
+import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -20,8 +22,9 @@ import pytest
 
 import cutcx
 from cutcx import complements, formulas, graphs, homology, verification
-from cutcx.cli import main
+from cutcx.cli import build_parser, main
 from cutcx.complements import BadProfile
+from cutcx.graphs import CapacityError
 from cutcx.polynomials import Polynomial, RationalGenFun
 
 GOLDEN_TABLE = """\
@@ -641,6 +644,28 @@ class TestVerify:
         assert [name for name, _ in verification.scope_jobs("all", 10, (2, 3))] == ALL_NAMES_10
         assert [name for name, _ in verification.seed_jobs((2, 3))] == SEED_NAMES
 
+    @pytest.mark.parametrize("scope", [s for s in verification.SCOPES if s != "all"])
+    def test_scope_builds_only_its_own_suite(self, monkeypatch, scope):
+        built = []
+
+        def recording(check, *args):
+            built.append(functools.partial(check, *args))
+            return built[-1]
+
+        monkeypatch.setattr(verification, "partial", recording)
+        jobs = verification.scope_jobs(scope, 10, (2, 3))
+        assert [thunk for _, thunk in jobs] == built
+
+    def test_refusals_come_before_any_suite(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a suite was built before the refusal")
+
+        monkeypatch.setattr(verification, "partial", refuse)
+        with pytest.raises(CapacityError):
+            verification.scope_jobs("homology", 25, (2,))
+        with pytest.raises(ValueError):
+            verification.scope_jobs("profile", 3, (2,))
+
     @pytest.mark.parametrize("n_max", ["3", "0", "-5"])
     def test_n_max_below_four_is_usage_error(self, capsys, n_max):
         code, out, err = run(capsys, "verify", "--scope", "homology", "--n-max", n_max)
@@ -664,6 +689,71 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--format", "xml"])
         assert exc.value.code == 2
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """Exit code, stdout and stderr of one main(argv) call, argparse refusals included."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_reused_parser_leaks_no_state(self, capsys, tmp_path):
+        # One parser serves every call in a process; each call must see what a freshly built one would.
+        path = tmp_path / "p7.graph"
+        path.write_text(P7_SQUARED, encoding="utf-8")
+        commands = [
+            ("table", "--r-max", "4", "--k-max", "5"),
+            ("verify", "--scope", "homology", "--n-max", "6", "--primes", "3"),
+            ("verify", "--scope", "genfun", "--n-max", "4"),
+            ("enum", "hilbert", "4", "7"),
+            ("enum", "genfun", "5"),
+            ("graph", str(path), "--k", "4", "--connectivity", "bfs"),
+            ("graph", str(path), "--k", "3"),
+        ]
+        sequence = [
+            *((*argv, "--no-timing", *fmt) for argv in commands for fmt in ((), ("--format", "json"), ("--format", "csv"))),
+            ("table", "--format", "xml"),
+            (),
+            ("graph", "/nonexistent", "--k", "3"),
+            ("verify", "--scope", "homology", "--n-max", "25"),
+        ]
+        sequence += sequence[::-1]
+        reused = [self.outcome(capsys, argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert [code for code, _, _ in fresh[:25]] == [0] * 21 + [2, 2, 2, 3]
+        assert reused == fresh
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "p7.graph"
+        path.write_text(P7_SQUARED, encoding="utf-8")
+        assert build_parser() is build_parser()
+        main(["table", "--no-timing"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        calls = [
+            ("table", "--format", "csv"),
+            ("enum", "faceenum", "4", "7"),
+            ("enum", "genfun", "4", "--format", "json"),
+            ("verify", "--scope", "recurrence", "--n-max", "4"),
+            ("graph", str(path), "--k", "3", "--format", "csv"),
+        ]
+        for argv in calls * 4:
+            assert main([*argv, "--no-timing"]) == 0
+        capsys.readouterr()
+        assert built == []
+        assert build_parser() is build_parser()
 
 
 class TestStartup:
