@@ -59,12 +59,12 @@ from .homology import (
     HOMOLOGY_LIMIT,
     BoundaryMatrix,
     ConcentrationReport,
-    PrimeField,
     betti_numbers,
     build_chain_complex,
     composition_vanishes,
     is_prime,
     rank_mod_p,
+    require_prime,
     verify_concentration,
 )
 from .polynomials import Polynomial, RationalGenFun, backward_difference, binom
@@ -84,7 +84,6 @@ __all__ = [
     "HOMOLOGY_LIMIT",
     "NonfaceLayers",
     "Polynomial",
-    "PrimeField",
     "RationalGenFun",
     "RecurrenceCheck",
     "RecurrenceEntry",
@@ -121,6 +120,7 @@ __all__ = [
     "q_profile_closed",
     "rank_mod_p",
     "reduced_euler",
+    "require_prime",
     "sharp_difference",
     "squared_path",
     "verify_concentration",

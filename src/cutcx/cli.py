@@ -30,7 +30,7 @@ from .complexes import FVector, face_enumerator_closed, nonface_layers
 from .complexes import f_vector_bruteforce  # unused here; kept because bench/tracer.py wraps cli.f_vector_bruteforce
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
 from .graphs import CapacityError, is_squared_path, parse_graph
-from .homology import PrimeField
+from .homology import require_prime
 from .verification import SCOPES, run_jobs, scope_jobs, seed_jobs
 
 EXIT_OK = 0
@@ -72,9 +72,7 @@ def _parse_primes(raw: str) -> tuple[int, ...]:
         raise ValueError(f"--primes expects comma-separated integers, got {raw!r}") from None
     if not primes:
         raise ValueError("--primes needs at least one prime")
-    for p in primes:
-        PrimeField(p)
-    return primes
+    return tuple(map(require_prime, primes))
 
 
 # -- enum kinds: one view builder per payload shape --------------------------
@@ -241,7 +239,7 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
     graph = parse_graph(text, scan="brute-force f-vector")
     if args.connectivity == "gap" and not is_squared_path(graph):
         raise ValueError("--connectivity gap is only valid for squared paths; use bfs")
-    profile = q_profile_bruteforce(graph, args.k, connectivity=args.connectivity)
+    profile = q_profile_bruteforce(graph, args.k)
     fv = FVector.from_profile(profile)
     meta = {"n": graph.n, "k": args.k, "edge_count": graph.edge_count}
     return EXIT_OK, {
@@ -300,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", parents=[common], help="brute-force a graph from a file")
     p_graph.add_argument("path", help="file in the 'n <count>' / 'e <u> <v>' line format")
     p_graph.add_argument("--k", type=int, required=True)
-    p_graph.add_argument("--connectivity", choices=("bfs", "gap"), default=None)
+    p_graph.add_argument("--connectivity", choices=("bfs", "gap"), default=None,
+                         help="kept for compatibility: the graph picks the engine; gap is refused off squared paths")
     p_graph.add_argument("--method", choices=("powerset", "complement"), default=None,
                          help="ignored, kept for compatibility: face counts are always read off the bad-set profile")
     p_graph.set_defaults(handler=cmd_graph)

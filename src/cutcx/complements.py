@@ -27,27 +27,19 @@ from .graphs import (
 from .graphs import gap_connected, is_connected_induced  # unused here; kept because bench/tracer.py wraps them
 from .polynomials import binom
 
-CONNECTIVITY_ENGINES = ("bfs", "gap")
-
 BAD_SET_LIMIT = 200_000  # bad sets of one size a scan may hold; C(20, 10) = 184,756 admits every n <= 20
 
 
-def connectivity_test(graph: Graph, connectivity: str | None = None) -> Callable[[tuple[int, ...]], bool]:
-    """Resolve the connectivity engine: 'bfs' for any graph, 'gap' for squared paths.
+def connectivity_test(graph: Graph) -> Callable[[tuple[int, ...]], bool]:
+    """The connectivity engine the graph admits: the gap criterion on a squared path, search otherwise.
 
-    None selects 'gap' when the graph structurally equals a squared path,
-    else 'bfs'.  The gap engine is only valid on squared paths; it is
-    exposed so the equivalence of the two engines is itself testable.
-    The predicate is the engine's body: it takes canonical tuples inside
-    1..n, as every scan produces, and skips the public functions' checks.
+    The gap criterion holds only on squared paths, so it is read off the
+    graph and never chosen by a caller; the two engines agree wherever
+    both are valid.  The predicate is the engine's body: it takes
+    canonical tuples inside 1..n, as every scan produces, and skips the
+    public functions' checks.
     """
-    if connectivity is None:
-        connectivity = "gap" if is_squared_path(graph) else "bfs"
-    if connectivity == "bfs":
-        return partial(_connected_by_search, graph)
-    if connectivity == "gap":
-        return _gaps_at_most_two
-    raise ValueError(f"unknown connectivity engine {connectivity!r}; expected one of {CONNECTIVITY_ENGINES}")
+    return _gaps_at_most_two if is_squared_path(graph) else partial(_connected_by_search, graph)
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class BadProfile:
         return "\n".join(lines)
 
 
-def is_bad(graph: Graph, k: int, subset: Iterable[int], connectivity: str | None = None) -> bool:
+def is_bad(graph: Graph, k: int, subset: Iterable[int]) -> bool:
     """True when every k-subset of the given set induces a connected subgraph."""
     c = canonical_vertex_set(subset)
     if k < 2:
@@ -78,17 +70,17 @@ def is_bad(graph: Graph, k: int, subset: Iterable[int], connectivity: str | None
         raise ValueError(f"set of size {len(c)} cannot be tested for k={k}")
     if c[0] < 1 or c[-1] > graph.n:
         raise ValueError(f"vertex set {c} leaves the range 1..{graph.n}")
-    return _all_k_subsets_connected(c, k, connectivity_test(graph, connectivity))
+    return _all_k_subsets_connected(c, k, connectivity_test(graph))
 
 
-def bad_sets_by_size(graph: Graph, k: int, conn: Callable[[tuple[int, ...]], bool]) -> Iterator[set[tuple[int, ...]]]:
+def bad_sets_by_size(graph: Graph, k: int) -> Iterator[set[tuple[int, ...]]]:
     """Yield the nonempty levels of k-bad sets, sizes k, k+1, ... in turn.
 
     Level k is the connected k-sets; for m >= k an (m+1)-set is bad iff all its m-subsets are,
     so each level grows from the one below.  A level past BAD_SET_LIMIT raises CapacityError.
     """
     n, m = graph.n, k
-    level = _capped(filter(conn, combinations(range(1, n + 1), k)), k)
+    level = _capped(filter(connectivity_test(graph), combinations(range(1, n + 1), k)), k)
     while level:
         yield level
         # _capped consumes these candidates before level and m move on.
@@ -104,14 +96,14 @@ def _capped(sets: Iterable[tuple[int, ...]], m: int) -> set[tuple[int, ...]]:
     return level
 
 
-def q_profile_bruteforce(graph: Graph, k: int, connectivity: str | None = None) -> BadProfile:
+def q_profile_bruteforce(graph: Graph, k: int) -> BadProfile:
     """Count k-bad sets of every size, growing them level by level from the connected k-sets."""
     n = graph.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "bad-set profile")
     counts = dict.fromkeys(range(k, n + 1), 0)
-    for m, level in enumerate(bad_sets_by_size(graph, k, connectivity_test(graph, connectivity)), start=k):
+    for m, level in enumerate(bad_sets_by_size(graph, k), start=k):
         counts[m] = len(level)
     return BadProfile(k=k, n=n, counts=counts)
 

@@ -10,7 +10,7 @@ exactly when its complement is bad.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, filterfalse
 from typing import Iterable
 
 from .complements import BadProfile, _all_k_subsets_connected, bad_sets_by_size, connectivity_test
@@ -91,17 +91,16 @@ class NonfaceLayers:
         return "\n".join(lines)
 
 
-def disconnected_k_sets(graph: Graph, k: int, connectivity: str | None = None) -> list[tuple[int, ...]]:
+def disconnected_k_sets(graph: Graph, k: int) -> list[tuple[int, ...]]:
     """All disconnected k-subsets, ascending lexicographic order."""
     n = graph.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "disconnected k-set enumeration")
-    conn = connectivity_test(graph, connectivity)
-    return [t for t in combinations(range(1, n + 1), k) if not conn(t)]
+    return list(filterfalse(connectivity_test(graph), combinations(range(1, n + 1), k)))
 
 
-def is_face(graph: Graph, k: int, face: Iterable[int], connectivity: str | None = None) -> bool:
+def is_face(graph: Graph, k: int, face: Iterable[int]) -> bool:
     """Face test: the complement must contain a disconnected k-subset."""
     n = graph.n
     if not 2 <= k <= n:
@@ -110,16 +109,16 @@ def is_face(graph: Graph, k: int, face: Iterable[int], connectivity: str | None 
     if f and (f[0] < 1 or f[-1] > n):
         raise ValueError(f"vertex set {f} leaves the range 1..{n}")
     comp = tuple(v for v in range(1, n + 1) if v not in f)
-    return len(comp) >= k and not _all_k_subsets_connected(comp, k, connectivity_test(graph, connectivity))
+    return len(comp) >= k and not _all_k_subsets_connected(comp, k, connectivity_test(graph))
 
 
-def f_vector_bruteforce(graph: Graph, k: int, connectivity: str | None = None) -> FVector:
+def f_vector_bruteforce(graph: Graph, k: int) -> FVector:
     """Exhaustive f-vector read off the bad-set profile: f_p = C(n,p) - q(n-p).
 
     A p-set is a face exactly when its complement, of size n-p >= k, is
     not bad, so the one bad-set scan counts the faces of every size.
     """
-    return FVector.from_profile(q_profile_bruteforce(graph, k, connectivity))
+    return FVector.from_profile(q_profile_bruteforce(graph, k))
 
 
 def face_enumerator_closed(k: int, n: int) -> Polynomial:
@@ -180,7 +179,7 @@ def layered_beta(k: int, n: int) -> int:
     return binom(n - 1, r) + r - z_count(k, n)
 
 
-def faces_by_dimension(graph: Graph, k: int, connectivity: str | None = None) -> list[list[tuple[int, ...]]]:
+def faces_by_dimension(graph: Graph, k: int) -> list[list[tuple[int, ...]]]:
     """Faces grouped by dimension (index d lists the cardinality d+1 faces).
 
     The empty face is implicit.  Returns [] for complexes with no vertices
@@ -191,7 +190,7 @@ def faces_by_dimension(graph: Graph, k: int, connectivity: str | None = None) ->
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     require_full_scan_capacity(n, "face enumeration")
-    levels = list(bad_sets_by_size(graph, k, connectivity_test(graph, connectivity)))
+    levels = list(bad_sets_by_size(graph, k))
     vertices = range(1, n + 1)
     out: list[list[tuple[int, ...]]] = []
     for p in range(1, n - k + 1):

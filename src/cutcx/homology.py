@@ -45,29 +45,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic modulo a validated prime below 2^16."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or p >= MAX_PRIME or not is_prime(p):
-            raise ValueError(f"modulus must be a prime below 2^16, got {p!r}")
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return pow(a, -1, self.p)
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+def require_prime(p: int) -> int:
+    """p itself when it is a prime below 2^16, the moduli every rank routine accepts; else ValueError."""
+    if not isinstance(p, int) or p >= MAX_PRIME or not is_prime(p):
+        raise ValueError(f"modulus must be a prime below 2^16, got {p!r}")
+    return p
 
 
 def rank_mod_p(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> int:
     """Rank over GF(p) of a matrix given column by column as (row, value) pairs."""
-    return len(_pivot_rows(columns, p))
+    return len(_pivot_rows(columns, require_prime(p)))
 
 
 def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int]:
@@ -79,9 +66,9 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
     row, scaled to a leading 1 unless it has one already (always so over
     GF(2)).  Keying by the largest row keeps fill-in low on boundary
     matrices with lexicographically listed faces: keyed by the smallest
-    row, GF(3) ranks at k=6, n=14 cost about ten times more.
+    row, GF(3) ranks at k=6, n=14 cost about ten times more.  The
+    caller has checked that p is prime.
     """
-    field = PrimeField(p)
     pivots: dict[int, dict[int, int]] = {}
     for entries in columns:
         col: dict[int, int] = {}
@@ -99,7 +86,7 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
                 if lead == 1:
                     pivots[low] = col
                 else:
-                    scale = field.inv(lead)
+                    scale = pow(lead, -1, p)
                     pivots[low] = {i: c * scale % p for i, c in col.items()}
                 break
             factor = col[low]
@@ -133,7 +120,7 @@ class BoundaryMatrix:
         Skipping is sound only for columns known to lie in the span of
         earlier ones, as clearing guarantees.
         """
-        PrimeField(p)
+        require_prime(p)
         if self.nrows == 0 or self.ncols == 0:
             return 0
         columns = [col for j, col in enumerate(self.columns) if j not in skip] if skip else self.columns
@@ -246,7 +233,7 @@ def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
 
 def betti_numbers(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
     """Reduced Betti numbers in dimensions 0..d over GF(prime)."""
-    PrimeField(prime)
+    require_prime(prime)
     if not matrices:
         return []
     if not composition_vanishes(matrices):
@@ -285,7 +272,7 @@ class ConcentrationReport:
     betti_by_prime: dict[int, tuple[int, ...]]
     ok: bool
     mismatches: tuple[str, ...]
-    note: str = FIELD_SAMPLING_NOTE
+    note = FIELD_SAMPLING_NOTE  # a class constant: no report certifies more than its sampled fields
 
 
 def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> ConcentrationReport:
@@ -299,11 +286,9 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
         raise ValueError(f"need k >= 2 and n >= k+2, got k={k}, n={n}")
     if n > HOMOLOGY_LIMIT:
         raise CapacityError(f"homology check at n={n} exceeds the supported limit n <= {HOMOLOGY_LIMIT}")
-    prime_list = sorted(set(primes))
+    prime_list = sorted(set(map(require_prime, primes)))
     if not prime_list:
         raise ValueError("at least one prime is required")
-    for p in prime_list:
-        PrimeField(p)
     r = n - k
     expected_top = beta_closed(k, n)
     expected = tuple([0] * (r - 1) + [expected_top])

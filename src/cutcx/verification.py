@@ -60,11 +60,18 @@ Job = tuple[str, Callable[[], list[str]]]
 
 
 def run_jobs(jobs: Sequence[Job], _workers: object = None) -> list[CheckResult]:
-    """Run named checks in order; a check passes when it returns no witnesses."""
+    """Run named checks in order; a check passes when it returns no witnesses.
+
+    A RuntimeError is a closed form failing its own post-check, so it fails
+    that check with its message as witness and the later checks still run.
+    """
     # _workers is ignored: bench/tracer.py's run_jobs wrapper still passes a worker count.
     results = []
     for name, thunk in jobs:
-        bad = thunk()
+        try:
+            bad = thunk()
+        except RuntimeError as exc:
+            bad = [str(exc)]
         results.append(CheckResult(name, not bad, "; ".join(bad)))
     return results
 

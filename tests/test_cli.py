@@ -364,14 +364,19 @@ class TestGraph:
         assert "f_vector,3,15" in lines
         assert "profile,4,20" in lines
 
-    def test_connectivity_flags_agree(self, capsys, graph_file):
-        _, bfs_out, _ = run(
-            capsys, "graph", graph_file, "--k", "4", "--no-timing", "--connectivity", "bfs"
-        )
-        _, gap_out, _ = run(
-            capsys, "graph", graph_file, "--k", "4", "--no-timing", "--connectivity", "gap"
-        )
-        assert bfs_out == gap_out
+    def test_connectivity_flags_agree(self, capsys, graph_file, tmp_path):
+        # The graph picks the engine; the flag only refuses gap on a graph that is not a squared path.
+        path = tmp_path / "p6.graph"
+        path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
+        for fmt in ("text", "json", "csv"):
+            for graph, values in ((graph_file, ("bfs", "gap")), (str(path), ("bfs",))):
+                outputs = {
+                    run(capsys, "graph", graph, "--k", "3", "--no-timing", "--format", fmt, *flags)
+                    for flags in [(), *(("--connectivity", value) for value in values)]
+                }
+                assert len(outputs) == 1 and next(iter(outputs))[0] == 0, (fmt, graph)
+            refused = run(capsys, "graph", str(path), "--k", "3", "--format", fmt, "--connectivity", "gap")
+            assert refused == (2, "", "error: --connectivity gap is only valid for squared paths; use bfs\n")
 
     def test_method_flags_agree(self, capsys, graph_file):
         # --method is accepted for compatibility and selects nothing.
@@ -633,6 +638,27 @@ class TestVerify:
         lines = [f"FAIL {name}: {detail}" if name == failing else f"PASS {name}" for name in names]
         assert (code, err) == (1, "")
         assert out == "\n".join([*lines, summary]) + "\n"
+
+    def test_post_check_error_is_a_fail_line(self, capsys, monkeypatch):
+        # diagonal_genfun raises RuntimeError when its series disagrees with diagonal_poly; the run
+        # records that as the check's FAIL line, with the message as witness, and goes on.
+        spoiled = wrong_at(formulas.diagonal_poly, (4,), lambda p: p + Polynomial([1]))
+        monkeypatch.setattr(formulas, "diagonal_poly", spoiled)
+        code, out, err = run(capsys, "verify", "--scope", "genfun", "--no-timing")
+        detail = ("internal error: series of RationalGenFun(numerator=Polynomial([0, 0, 0, 3, -1]), pole_order=4)"
+                  " disagrees with the diagonal polynomial")
+        failing = "genfun r=4 terms<=50"
+        lines = [f"FAIL {name}: {detail}" if name == failing else f"PASS {name}" for name in GENFUN_NAMES]
+        assert (code, err) == (1, "")
+        assert out == "\n".join([*lines, "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"]) + "\n"
+
+    @pytest.mark.parametrize("error, code", [(ValueError, 2), (CapacityError, 3)])
+    def test_usage_and_capacity_errors_in_a_check_end_the_run(self, capsys, monkeypatch, error, code):
+        def refuse(r):
+            raise error("refused")
+
+        monkeypatch.setattr(verification, "diagonal_genfun", refuse)
+        assert run(capsys, "verify", "--scope", "genfun", "--no-timing") == (code, "", "error: refused\n")
 
     def test_check_names_in_order(self):
         assert len(ALL_NAMES_10) == 180

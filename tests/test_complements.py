@@ -57,8 +57,6 @@ class TestIsBad:
             is_bad(g, 1, (1, 2))
         with pytest.raises(ValueError):
             is_bad(g, 2, (5, 9))
-        with pytest.raises(ValueError):
-            is_bad(g, 2, (1, 3), connectivity="dfs")
 
 
 class TestZCount:
@@ -98,13 +96,13 @@ class TestProfiles:
         prof = q_profile_bruteforce(complete_graph(5), 2)
         assert prof.counts == {m: comb(5, m) for m in range(2, 6)}
 
-    def test_engines_agree_exhaustively(self):
-        for n in range(4, 11):
-            g = squared_path(n)
-            for k in range(2, n - 1):
-                bfs = q_profile_bruteforce(g, k, connectivity="bfs")
-                gap = q_profile_bruteforce(g, k, connectivity="gap")
-                assert bfs.counts == gap.counts, (k, n)
+    def test_engines_agree_exhaustively(self, monkeypatch):
+        # A squared path selects the gap engine; hiding that it is one forces the search engine.
+        graphs = [squared_path(n) for n in range(4, 11)]
+        gap = [[q_profile_bruteforce(g, k).counts for k in range(2, g.n + 1)] for g in graphs]
+        monkeypatch.setattr(complements, "is_squared_path", lambda graph: False)
+        assert connectivity_test(graphs[0]) is not _gaps_at_most_two
+        assert [[q_profile_bruteforce(g, k).counts for k in range(2, g.n + 1)] for g in graphs] == gap
 
     def test_closed_matches_bruteforce(self):
         for n in range(4, 13):
@@ -165,7 +163,7 @@ class TestBadSetLevels:
 
     def test_levels_are_the_bad_sets(self):
         g = squared_path(9)
-        levels = list(bad_sets_by_size(g, 4, connectivity_test(g)))
+        levels = list(bad_sets_by_size(g, 4))
         assert [len(level) for level in levels] == [z_count(4, 9), 5]
         assert levels[1] == {tuple(range(s, s + 5)) for s in range(1, 6)}
 
@@ -173,13 +171,14 @@ class TestBadSetLevels:
         # Every 5-subset of K_10 is connected; the level is cut off at the first set past the cap.
         seen = []
 
-        def conn(t):
+        def search(graph, t):
             seen.append(t)
-            return True
+            return _connected_by_search(graph, t)
 
+        monkeypatch.setattr(complements, "_connected_by_search", search)
         monkeypatch.setattr(complements, "BAD_SET_LIMIT", 10)
         with pytest.raises(CapacityError, match="more than 10 bad 5-sets"):
-            next(bad_sets_by_size(complete_graph(10), 5, conn))
+            next(bad_sets_by_size(complete_graph(10), 5))
         assert len(seen) == 11
 
 
@@ -189,12 +188,11 @@ class TestEngineResolution:
         # so it must be the gap criterion itself.
         assert connectivity_test(squared_path(9)) is _gaps_at_most_two
         assert connectivity_test(complete_graph(4)) is not _gaps_at_most_two
+        assert connectivity_test(complete_graph(4))((1, 4))
 
-    def test_explicit_override(self):
-        conn = connectivity_test(complete_graph(4), "gap")
-        assert conn is _gaps_at_most_two
-        bfs = connectivity_test(complete_graph(4), "bfs")
-        assert bfs((1, 4))
+    def test_no_caller_can_put_the_gap_criterion_on_another_graph(self):
+        # The gap criterion would count only {3: 12, 4: 3, 5: 0, 6: 0} on K_6.
+        assert q_profile_bruteforce(complete_graph(6), 3).counts == {3: 20, 4: 15, 5: 6, 6: 1}
 
 
 class TestEngineBodies:
@@ -210,9 +208,9 @@ class TestEngineBodies:
 
     def test_bodies_agree_with_public_functions_on_every_subset(self):
         for g in self.graphs():
-            bfs = connectivity_test(g, "bfs")
+            engine = connectivity_test(g)
             for size in range(1, g.n + 1):
                 for s in combinations(range(1, g.n + 1), size):
                     public = is_connected_induced(g, s)
-                    assert _connected_by_search(g, s) == bfs(s) == public, (g, s)
+                    assert _connected_by_search(g, s) == engine(s) == public, (g, s)
                     assert _gaps_at_most_two(s) == gap_connected(s), s

@@ -19,7 +19,6 @@ from cutcx import (
     BoundaryMatrix,
     CapacityError,
     Graph,
-    PrimeField,
     beta_closed,
     betti_numbers,
     build_chain_complex,
@@ -29,6 +28,7 @@ from cutcx import (
     is_prime,
     rank_mod_p,
     reduced_euler,
+    require_prime,
     squared_path,
     verify_concentration,
 )
@@ -50,18 +50,12 @@ class TestPrimality:
         assert not is_prime(65520)
 
 
-class TestPrimeField:
+class TestRequirePrime:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PrimeField(4)
-        with pytest.raises(ValueError):
-            PrimeField(1)
-        with pytest.raises(ValueError):
-            PrimeField(0)
-        # 65537 is prime but past the modulus cap.
-        with pytest.raises(ValueError):
-            PrimeField(65537)
-        assert PrimeField(65521).p == 65521
+        for p in (4, 1, 0, 65537):  # 65537 is prime but past the modulus cap
+            with pytest.raises(ValueError):
+                require_prime(p)
+        assert require_prime(65521) == 65521
 
     def test_huge_modulus_refused_before_trial_division(self, monkeypatch):
         # Trial division of 2^61 - 1 would take about 1.5e9 steps.
@@ -70,24 +64,14 @@ class TestPrimeField:
 
         monkeypatch.setattr(cutcx.homology, "is_prime", refuse)
         with pytest.raises(ValueError):
-            PrimeField(2**61 - 1)
+            require_prime(2**61 - 1)
 
-    def test_field_axioms_exhaustive_small(self):
-        for p in (2, 3, 5, 7):
-            field = PrimeField(p)
-            for a in range(1, p):
-                assert a * field.inv(a) % p == 1
-                assert field.inv(a + p) == field.inv(a) == field.inv(a - p)
-
-    def test_zero_has_no_inverse(self):
-        field = PrimeField(7)
-        with pytest.raises(ZeroDivisionError):
-            field.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            field.inv(14)
-
-    def test_repr(self):
-        assert repr(PrimeField(13)) == "PrimeField(13)"
+    def test_every_public_entry_refuses_a_non_prime(self):
+        empty = BoundaryMatrix(dim=1, nrows=0, ncols=0, columns=())
+        for call in (lambda: rank_mod_p([], 4), lambda: empty.rank(4), lambda: betti_numbers([], 4),
+                     lambda: verify_concentration(4, 7, primes=(2, 4))):
+            with pytest.raises(ValueError, match="prime below 2"):
+                call()
 
 
 def columns_of(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
