@@ -2,8 +2,9 @@
 
 Payloads are deterministic: identical invocations give identical bytes.
 Timing appears only in a trailing '# elapsed' footer that --no-timing
-suppresses.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 capacity exceeded.
+suppresses.  Exit codes: 0 success, 1 verification failure (a closed
+form failing its own post-check included), 2 usage error, 3 capacity
+exceeded.
 
 Each handler computes its result and returns (exit code, view).  A view
 maps each format to a thunk building that format's value: a JSON-ready
@@ -319,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a closed form failed its own post-check: "internal error: ..."
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     sys.stdout.write(output)
     if not args.no_timing:
         sys.stdout.write(f"# elapsed {time.perf_counter() - start:.3f}s\n")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
+from math import comb
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .graphs import (
@@ -25,7 +27,6 @@ from .graphs import (
     require_full_scan_capacity,
 )
 from .graphs import gap_connected, is_connected_induced  # unused here; kept because bench/tracer.py wraps them
-from .polynomials import binom
 
 BAD_SET_LIMIT = 200_000  # bad sets of one size a scan may hold; C(20, 10) = 184,756 admits every n <= 20
 
@@ -124,7 +125,7 @@ def z_count(k: int, n: int) -> int:
     """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    return sum(binom(k - 1, j) * (n - k - j + 1) for j in range(min(k - 1, n - k) + 1))
+    return sum(map(mul, map(comb, repeat(k - 1), range(k)), range(n - k + 1, 0, -1)))  # j <= min(k-1, n-k)
 
 
 def q_profile_closed(k: int, n: int) -> BadProfile:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .complements import z_count
 from .complexes import face_enumerator_closed
@@ -183,11 +183,8 @@ def diagonal_genfun(r: int) -> RationalGenFun:
     gf = RationalGenFun(numerator=num, pole_order=r)
     if not gf.is_canonical:
         raise RuntimeError("internal error: generating function numerator shares a (1-x) factor")
-    # Compare den * series with the integer polynomial den * diagonal_poly(r),
-    # which spares the Fraction arithmetic of evaluating the polynomial itself.
-    poly = diagonal_poly(r)
-    den = lcm(*(c.denominator for c in poly.coeffs))
-    scaled = Polynomial([c.numerator * (den // c.denominator) for c in poly.coeffs])
+    # Scaled once, not inside each of the 50 poly(k) calls: Horner on integers at every point.
+    scaled, den = diagonal_poly(r).over_common_denominator()
     series = gf.series(51)
     if series[0] != 0 or any(den * series[k] != scaled(k) for k in range(1, 51)):
         raise RuntimeError(f"internal error: series of {gf!r} disagrees with the diagonal polynomial")

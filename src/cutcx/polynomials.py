@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Sequence, Union
+from itertools import repeat
+from math import comb, lcm
+from operator import mul
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -33,6 +35,15 @@ def _norm(c: Scalar) -> Scalar:
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _taylor_shift(a: Iterable[Scalar], c: Scalar) -> list[Scalar]:
+    """Coefficients of p(x + c) from those of p(x), lowest degree first: O(d^2) steps a_j += c a_(j+1)."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
 
 class Polynomial:
@@ -139,16 +150,24 @@ class Polynomial:
         """Exact Horner evaluation; returns an int when the value is integral."""
         acc: Scalar = 0
         for c in reversed(self.coeffs):
+            if type(c) is not int and type(v) is int:  # at an integer, Horner on integer numerators instead
+                scaled, den = self.over_common_denominator()
+                return _norm(Fraction(scaled(v), den))
             acc = acc * v + c
         return _norm(Fraction(acc)) if isinstance(acc, Fraction) else acc
 
+    def over_common_denominator(self) -> tuple["Polynomial", int]:
+        """(q, D): the least common denominator D of the coefficients and the integer polynomial q = D p."""
+        den = 1
+        for c in reversed(self.coeffs):  # the top denominators tend to be multiples of the rest
+            if den % c.denominator:
+                den = lcm(den, c.denominator)
+        return Polynomial([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+
     def shift(self, c: Scalar) -> "Polynomial":
-        """Compose with a shifted argument: returns p(x + c)."""
-        acc = Polynomial()
-        xc = Polynomial([c, 1])
-        for a in reversed(self.coeffs):
-            acc = acc * xc + Polynomial.constant(a)
-        return acc
+        """Compose with a shifted argument: returns p(x + c), Taylor-shifting the integer numerators."""
+        scaled, den = self.over_common_denominator()
+        return Polynomial(Fraction(a, den) for a in _taylor_shift(scaled.coeffs, c))
 
     # -- rendering ---------------------------------------------------------
 
@@ -183,12 +202,14 @@ class Polynomial:
 
 
 def backward_difference(p: Polynomial, s: int = 1) -> Polynomial:
-    """s-fold backward difference: one step maps p(x) to p(x) - p(x-1)."""
+    """s-fold backward difference: one step maps p(x) to p(x) - p(x-1), in integer numerators."""
     if s < 0:
         raise ValueError("order must be nonnegative")
-    for _ in range(s):
-        p = p - p.shift(-1)
-    return p
+    scaled, den = p.over_common_denominator()
+    a = scaled.coeffs
+    for _ in range(min(s, len(a))):  # each step cancels the top coefficient
+        a = [x - y for x, y in zip(a[:-1], _taylor_shift(a, -1))]
+    return Polynomial(Fraction(x, den) for x in a)
 
 
 @dataclass(frozen=True)
@@ -211,19 +232,12 @@ class RationalGenFun:
         """First `count` Taylor coefficients at 0, exactly."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        num = self.numerator.coeffs
-        r = self.pole_order
-        out: list[Scalar] = []
-        for d in range(count):
-            # 1/(1-x)^r = sum_m C(m+r-1, r-1) x^m  (the constant 1 when r = 0)
-            acc: Scalar = 0
-            for i, c in enumerate(num):
-                if i > d:
-                    break
-                m = d - i
-                acc += c * (binom(m + r - 1, r - 1) if r > 0 else (1 if m == 0 else 0))
-            out.append(_norm(Fraction(acc)) if isinstance(acc, Fraction) else acc)
-        return out
+        num, r = self.numerator.coeffs, self.pole_order
+        if r == 0:
+            return [self.numerator.coefficient(d) for d in range(count)]
+        # 1/(1-x)^r = sum_m C(m+r-1, r-1) x^m, so term d sums c_i C(d-i+r-1, r-1) over i <= d
+        return [_norm(sum(map(mul, num[:d + 1], map(comb, range(d + r - 1, r - 2, -1), repeat(r - 1)))))
+                for d in range(count)]
 
     def text(self, var: str = "x") -> str:
         return f"numerator={self.numerator.text(var)}\npole_order={self.pole_order}"

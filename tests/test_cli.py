@@ -7,8 +7,10 @@ a sorted re-dump.  Exit codes: 0 ok, 1 verification failure, 2 usage,
 """
 
 import argparse
+import contextlib
 import functools
 import importlib.util
+import io
 import json
 import os
 import re
@@ -19,9 +21,11 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import cutcx
-from cutcx import complements, formulas, graphs, homology, verification
+from cutcx import complements, complexes, formulas, graphs, homology, verification
 from cutcx.cli import build_parser, main
 from cutcx.complements import BadProfile
 from cutcx.graphs import CapacityError
@@ -505,6 +509,18 @@ def wrong_at(fn, at, spoil):
     return patched
 
 
+def spoil_diagonal_at_four(monkeypatch):
+    """diagonal_poly(4) off by one, so diagonal_genfun(4) fails its own post-check."""
+    spoiled = wrong_at(formulas.diagonal_poly, (4,), lambda p: p + Polynomial([1]))
+    monkeypatch.setattr(formulas, "diagonal_poly", spoiled)
+
+
+GENFUN_POST_CHECK_ERROR = (
+    "internal error: series of RationalGenFun(numerator=Polynomial([0, 0, 0, 3, -1]), pole_order=4)"
+    " disagrees with the diagonal polynomial"
+)
+
+
 def plus_one(value):
     return value + 1
 
@@ -642,13 +658,10 @@ class TestVerify:
     def test_post_check_error_is_a_fail_line(self, capsys, monkeypatch):
         # diagonal_genfun raises RuntimeError when its series disagrees with diagonal_poly; the run
         # records that as the check's FAIL line, with the message as witness, and goes on.
-        spoiled = wrong_at(formulas.diagonal_poly, (4,), lambda p: p + Polynomial([1]))
-        monkeypatch.setattr(formulas, "diagonal_poly", spoiled)
+        spoil_diagonal_at_four(monkeypatch)
         code, out, err = run(capsys, "verify", "--scope", "genfun", "--no-timing")
-        detail = ("internal error: series of RationalGenFun(numerator=Polynomial([0, 0, 0, 3, -1]), pole_order=4)"
-                  " disagrees with the diagonal polynomial")
         failing = "genfun r=4 terms<=50"
-        lines = [f"FAIL {name}: {detail}" if name == failing else f"PASS {name}" for name in GENFUN_NAMES]
+        lines = [f"FAIL {name}: {GENFUN_POST_CHECK_ERROR}" if name == failing else f"PASS {name}" for name in GENFUN_NAMES]
         assert (code, err) == (1, "")
         assert out == "\n".join([*lines, "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"]) + "\n"
 
@@ -698,6 +711,23 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "at least 4" in err
+
+
+class TestInternalErrors:
+    # Outside verify, a closed form failing its own post-check ends the run with exit 1,
+    # nothing on stdout and one error line on stderr, in every format.
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_genfun_post_check(self, capsys, monkeypatch, fmt):
+        spoil_diagonal_at_four(monkeypatch)
+        assert run(capsys, "enum", "genfun", "4", "--format", fmt) == (1, "", f"error: {GENFUN_POST_CHECK_ERROR}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_layers_nonface_check(self, capsys, monkeypatch, fmt):
+        bad_set_test = complexes._all_k_subsets_connected
+        monkeypatch.setattr(complexes, "_all_k_subsets_connected",
+                            lambda c, k, conn: c != (2, 3, 4, 5, 6) and bad_set_test(c, k, conn))
+        err = "error: internal error: constructed nonface complement (2, 3, 4, 5, 6) is not bad for k=4, n=7\n"
+        assert run(capsys, "enum", "layers", "4", "7", "--format", fmt) == (1, "", err)
 
 
 class TestParser:
@@ -780,6 +810,94 @@ class TestParser:
         capsys.readouterr()
         assert built == []
         assert build_parser() is build_parser()
+
+
+# -- grammar fuzz: drawn command lines through main(argv), in process ---------
+
+FUZZ_INTS = st.one_of(
+    *[st.integers(2, 12)] * 3,  # mostly values a command admits
+    st.integers(-3, 60),
+    st.sampled_from([199, 200, 201, 999, 1000, 1001, 2**63, -(2**63), 10**40]),
+)
+# Every admitted verify run stays at n <= 7, homology included; 25 and up must be refused.
+FUZZ_N_MAX = st.integers(-3, 7) | st.integers(25, 10**40)
+FUZZ_PRIMES = st.sampled_from(
+    ["2", "3", "2,3", "5,7", "65521", "65537", "", ",", " 2 ", "2,,3", "0", "1", "-2", "4", "x",
+     "2305843009213693951", str(10**40)]
+) | st.text("0123456789,-", max_size=8)
+FUZZ_HUGE_HEADERS = ["n 25", "n 1000000000", f"n {10**40}"]
+FUZZ_GRAPH_LINES = st.sampled_from(
+    ["n", "n x", "n -1", "n 0", *FUZZ_HUGE_HEADERS, "e", "e 1", "e 0 1", "e 1 1", "e 1 99", "e 1 2 3", "e a b",
+     "x 1 2", ""]
+)
+GRAPH_PATH = "<graph file>"  # stands for the file the test writes the drawn graph text to
+
+
+@st.composite
+def graph_text(draw) -> str:
+    """A small graph file, its header sometimes huge, sometimes with malformed lines mixed in."""
+    n = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), 2)) or [(1, 2)]), unique=True))
+    lines = [draw(st.sampled_from([f"n {n}"] * 3 + FUZZ_HUGE_HEADERS)), *(f"e {u} {v}" for u, v in edges)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(FUZZ_GRAPH_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzz_call(draw) -> tuple[list[str], str | None, bool]:
+    """(argv, graph file text or None, whether the call must be refused)."""
+    def maybe(*tokens: str) -> list[str]:
+        return list(tokens) if draw(st.booleans()) else []
+
+    def rarely() -> bool:
+        return draw(st.sampled_from([False] * 5 + [True]))
+
+    command = draw(st.sampled_from(["table", "verify", "enum", "graph", "nope"]))
+    argv, text, refused = [command], None, False
+    if command == "table":
+        for flag in ("--k-min", "--k-max", "--r-min", "--r-max"):
+            argv += maybe(flag, str(draw(FUZZ_INTS)))
+    elif command == "verify":
+        n_max = draw(FUZZ_N_MAX)
+        seed = maybe("--seed-check")
+        argv += ["--n-max", str(n_max), *seed, *maybe("--scope", draw(st.sampled_from([*verification.SCOPES, "nope"])))]
+        argv += maybe("--primes", draw(FUZZ_PRIMES))
+        refused = n_max >= 25 and not seed
+    elif command == "enum":
+        kind = draw(st.sampled_from(["faceenum", "hpoly", "hilbert", "genfun", "layers", "profile", "nope"]))
+        k = draw(FUZZ_INTS)
+        values = [k, draw(st.integers(k + 2, k + 40) | FUZZ_INTS), draw(FUZZ_INTS)]  # k, then n mostly past k + 1
+        arity = (1 if kind == "genfun" else 2) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        argv += [kind, *map(str, values[:arity])]
+    elif command == "graph":
+        text = None if rarely() else draw(graph_text())  # None: the file does not exist
+        argv += [GRAPH_PATH, *([] if rarely() else ["--k", str(draw(FUZZ_INTS))])]
+        argv += maybe("--connectivity", draw(st.sampled_from(["bfs", "bfs", "gap", "bfs", "nope"])))
+        argv += maybe("--method", draw(st.sampled_from(["powerset", "complement", "powerset", "complement", "nope"])))
+    argv += maybe("--format", draw(st.sampled_from(["text", "json", "csv", "text", "json", "csv", "xml"])))
+    argv += maybe("--no-timing")
+    return argv + ([draw(st.sampled_from(["--bogus", "7", "--format"]))] if rarely() else []), text, refused
+
+
+class TestGrammarFuzz:
+    @given(fuzz_call())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_call_ends_with_an_exit_code(self, tmp_path, call):
+        argv, text, refused = call
+        path = tmp_path / "fuzz.graph"
+        path.unlink(missing_ok=True)
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [str(path) if token == GRAPH_PATH else token for token in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusals end this way
+                code = exc.code
+        event(f"{argv[0]} exit {code}")  # shown by pytest --hypothesis-show-statistics
+        assert code in (0, 1, 2, 3), argv
+        assert code in (2, 3) or not refused, argv
 
 
 class TestStartup:

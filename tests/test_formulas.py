@@ -148,6 +148,7 @@ class TestRecurrence:
             cert = verify_recurrence(r, 40)
             assert cert.ok
             assert cert.symbolic_zero
+        for r in range(3, 41):
             assert backward_difference(diagonal_poly(r), r).is_zero
 
     def test_windows_are_labelled(self):
@@ -166,7 +167,7 @@ class TestRecurrence:
 
 class TestSharpness:
     def test_constant_is_r_minus_two(self):
-        for r in range(3, 13):
+        for r in range(3, 41):
             assert sharp_difference(r) == r - 2
 
     def test_hand_checked_third_difference(self):

@@ -2,15 +2,16 @@
 
 Core claims: coefficients stay exact through arithmetic, trailing zeros
 are trimmed so equality is structural, the combinatorial binomial is zero
-outside its range, and generating-function series match closed
-evaluations term by term.
+outside its range, generating-function series match closed evaluations
+term by term, and evaluation, shifts and differences of polynomials with
+rational coefficients agree with their defining sums.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcx.polynomials import (
@@ -19,6 +20,18 @@ from cutcx.polynomials import (
     backward_difference,
     binom,
 )
+
+
+# Rational scalars, integers among them; coefficient lists run from the zero
+# polynomial ([]) and the constants up to degree 6.
+rationals = st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_denominator=12)
+rational_coeffs = st.lists(rationals, max_size=7)
+points = st.integers(-12, 12) | st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+def direct(coeffs, x):
+    """sum c_i x^i, term by term, with no Polynomial method involved."""
+    return sum((c * x**i for i, c in enumerate(coeffs)), Fraction(0))
 
 
 def falling_binomial(a: int, m: int) -> Polynomial:
@@ -77,14 +90,32 @@ class TestArithmetic:
         assert isinstance(p(Fraction(2, 3)), int)
         assert Polynomial([1, -3, 1])(10) == 71
 
-    @given(
-        st.lists(st.integers(-30, 30), max_size=6),
-        st.integers(-5, 5),
-        st.integers(-8, 8),
-    )
+    @given(rational_coeffs, rationals, points)
+    @example([], Fraction(1, 2), -3)
+    @example([Fraction(-7, 3)], -2, Fraction(-5, 4))
     def test_shift_is_composition(self, coeffs, c, x):
+        assert Polynomial(coeffs).shift(c)(x) == direct(coeffs, x + c)
+
+
+class TestRationalCoefficients:
+    @given(rational_coeffs, points)
+    @example([], -3)
+    @example([Fraction(-7, 3)], -2)
+    @example([Fraction(1, 2), Fraction(1, 2)], -3)
+    @settings(max_examples=50)
+    def test_evaluation_is_the_defining_sum(self, coeffs, x):
+        value = Polynomial(coeffs)(x)
+        assert value == direct(coeffs, x)
+        assert type(value) is int or value.denominator != 1  # an integral value comes back as an int
+
+    @given(rational_coeffs, st.data())
+    @settings(max_examples=50)
+    def test_backward_difference_is_the_alternating_sum(self, coeffs, data):
         p = Polynomial(coeffs)
-        assert p.shift(c)(x) == p(x + c)
+        s = data.draw(st.integers(0, p.degree + 1), label="s")  # up to the order that kills p
+        x = data.draw(points, label="x")
+        want = sum((-1) ** i * comb(s, i) * direct(coeffs, x - i) for i in range(s + 1))
+        assert backward_difference(p, s)(x) == want
 
 
 class TestBinomialRegimes:
@@ -98,6 +129,9 @@ class TestBinomialRegimes:
 class TestBackwardDifference:
     def test_kills_constants_and_drops_degree(self):
         assert backward_difference(Polynomial([7])).is_zero
+        assert backward_difference(Polynomial([Fraction(-7, 3)]), 3).is_zero
+        assert backward_difference(Polynomial(), 2).is_zero
+        assert backward_difference(Polynomial([Fraction(1, 2), 3]), 0) == Polynomial([Fraction(1, 2), 3])
         assert backward_difference(Polynomial([0, 1])) == Polynomial([1])
         p = Polynomial([3, -1, 4, 1])
         assert backward_difference(p, 1).degree == p.degree - 1
@@ -140,7 +174,7 @@ class TestRationalGenFun:
         with pytest.raises(ValueError):
             RationalGenFun(Polynomial([1]), -1)
 
-    @given(st.lists(st.integers(-9, 9), max_size=5), st.integers(0, 4))
+    @given(st.lists(rationals, max_size=5), st.integers(0, 4))
     @settings(max_examples=60)
     def test_series_matches_defining_product(self, coeffs, r):
         # (1-x)^r * series must reproduce the numerator's coefficients.
