@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, filterfalse
+from math import comb
 from typing import Iterable
 
 from .complements import BadProfile, _all_k_subsets_connected, bad_sets_by_size, connectivity_test
@@ -52,7 +53,7 @@ class FVector:
     def from_profile(cls, profile: BadProfile) -> FVector:
         """Face counts from bad-set counts, f_p = C(n,p) - q(n-p); void when all are 0."""
         n, k = profile.n, profile.k
-        counts = tuple(binom(n, p) - profile.q(n - p) for p in range(n - k + 1))
+        counts = tuple(comb(n, p) - profile.q(n - p) for p in range(n - k + 1))
         return cls(k=k, n=n, counts=counts if any(counts) else None)
 
     def to_text(self) -> str:

@@ -164,11 +164,6 @@ class Polynomial:
                 den = lcm(den, c.denominator)
         return Polynomial([c.numerator * (den // c.denominator) for c in self.coeffs]), den
 
-    def shift(self, c: Scalar) -> "Polynomial":
-        """Compose with a shifted argument: returns p(x + c), Taylor-shifting the integer numerators."""
-        scaled, den = self.over_common_denominator()
-        return Polynomial(Fraction(a, den) for a in _taylor_shift(scaled.coeffs, c))
-
     # -- rendering ---------------------------------------------------------
 
     def coeff_list(self) -> list[Scalar]:

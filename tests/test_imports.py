@@ -1,0 +1,35 @@
+"""Module coupling pinned by parsing imports.
+
+The closed formulas in `formulas.py` must not import the face-scan or
+homology oracles that check them; the test reads the module's import
+statements with `ast`, so it holds without importing anything.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cutcx"
+
+
+def imported_modules(module: str) -> set[str]:
+    """Last dotted component of every cutcx module that `module` imports."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {a.name.rpartition(".")[2] for a in node.names if a.name.startswith("cutcx")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("cutcx"):
+                continue
+            if node.module and node.module != "cutcx":
+                names.add(node.module.rpartition(".")[2])
+            else:  # from . import x / from cutcx import x
+                names |= {a.name for a in node.names}
+    return names
+
+
+def test_formulas_imports_no_oracle():
+    assert imported_modules("formulas") & {"complexes", "homology"} == set()
+
+
+def test_reader_sees_relative_imports():
+    assert {"complements", "polynomials"} <= imported_modules("formulas")

@@ -3,7 +3,7 @@
 Core claims: coefficients stay exact through arithmetic, trailing zeros
 are trimmed so equality is structural, the combinatorial binomial is zero
 outside its range, generating-function series match closed evaluations
-term by term, and evaluation, shifts and differences of polynomials with
+term by term, and evaluation and differences of polynomials with
 rational coefficients agree with their defining sums.
 """
 
@@ -89,12 +89,6 @@ class TestArithmetic:
         assert p(Fraction(2, 3)) == 1
         assert isinstance(p(Fraction(2, 3)), int)
         assert Polynomial([1, -3, 1])(10) == 71
-
-    @given(rational_coeffs, rationals, points)
-    @example([], Fraction(1, 2), -3)
-    @example([Fraction(-7, 3)], -2, Fraction(-5, 4))
-    def test_shift_is_composition(self, coeffs, c, x):
-        assert Polynomial(coeffs).shift(c)(x) == direct(coeffs, x + c)
 
 
 class TestRationalCoefficients:
