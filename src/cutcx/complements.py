@@ -81,13 +81,49 @@ def bad_sets_by_size(graph: Graph, k: int) -> Iterator[set[tuple[int, ...]]]:
     so each level grows from the one below.  A level past BAD_SET_LIMIT raises CapacityError.
     """
     n, m = graph.n, k
-    level = _capped(filter(connectivity_test(graph), combinations(range(1, n + 1), k)), k)
+    # ESU's work grows with the connected sets smaller than k, the scan's with C(n, k), which falls past k = n/2.
+    connected = (
+        _connected_k_sets(graph, k) if 2 * k <= n
+        else filter(connectivity_test(graph), combinations(range(1, n + 1), k))
+    )
+    level = _capped(connected, k)
     while level:
         yield level
         # _capped consumes these candidates before level and m move on.
         grown = (t + (v,) for t in level for v in range(t[-1] + 1, n + 1))
         level = _capped((c for c in grown if all(map(level.__contains__, combinations(c, m)))), m + 1)
         m += 1
+
+
+def _connected_k_sets(graph: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield each connected k-set once, as a canonical tuple, by ESU (Wernicke 2006).
+
+    A set grows from its least vertex v; each step adds a vertex w from the
+    extension, and w's exclusive neighbours above v (adjacent to no vertex
+    already in or next to the set) join the extension, so no set is reached
+    twice.  An explicit stack replaces the recursion; nothing is stored
+    beyond the sets on it.
+    """
+    if k == 1:
+        yield from ((v,) for v in range(1, graph.n + 1))
+        return
+    nbr = [sum(1 << u for u in s) for s in graph.adj]
+    for v in range(1, graph.n + 1):
+        above = -1 << (v + 1)
+        stack = [((v,), nbr[v] & above, nbr[v] | 1 << v)]  # (set, extension, set and its neighbours)
+        while stack:
+            sub, ext, seen = stack.pop()
+            if len(sub) == k - 1:  # every vertex of the extension completes a distinct k-set
+                while ext:
+                    low = ext & -ext
+                    ext ^= low
+                    yield tuple(sorted(sub + (low.bit_length() - 1,)))
+                continue
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                stack.append((sub + (w,), ext | nbr[w] & above & ~seen, seen | nbr[w]))
 
 
 def _capped(sets: Iterable[tuple[int, ...]], m: int) -> set[tuple[int, ...]]:

@@ -134,8 +134,10 @@ def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     poly = diagonal_poly(r)
     symbolic_zero = backward_difference(poly, r).is_zero
     entries: list[RecurrenceEntry] = []
+    # Horner on D p in integers; the division is exact because diagonal_poly checks p is integer-valued.
+    scaled, den = poly.over_common_denominator()
     for k in range(3, r + 3):
-        value = sum((-1) ** i * binom(r, i) * poly(k - i) for i in range(r + 1))
+        value = sum((-1) ** i * binom(r, i) * scaled(k - i) for i in range(r + 1)) // den
         entries.append(RecurrenceEntry(k=k, window="extension", value=value, ok=value == 0))
     for k in range(r + 3, k_max + 1):
         value = sum((-1) ** i * binom(r, i) * beta_closed(k - i, k - i + r) for i in range(r + 1))

@@ -131,10 +131,11 @@ def check_sharpness(r: int) -> list[str]:
 
 def check_diagonal(r: int) -> list[str]:
     poly = diagonal_poly(r)
+    scaled, den = poly.over_common_denominator()  # once per check: p(k) = v iff (D p)(k) = D v
     return [
         f"k={k}: poly {poly(k)} != closed {beta_closed(k, k + r)}"
         for k in range(2, 41)
-        if poly(k) != beta_closed(k, k + r)
+        if scaled(k) != den * beta_closed(k, k + r)
     ][:3]
 
 
@@ -146,11 +147,12 @@ def check_binomial_basis(k: int) -> list[str]:
 def check_genfun(r: int) -> list[str]:
     gf = diagonal_genfun(r)
     poly = diagonal_poly(r)
+    scaled, den = poly.over_common_denominator()
     series = gf.series(51)
     bad = [] if gf.is_canonical else ["numerator shares a (1-x) factor"]
     if series[0] != 0:
         bad.append(f"k=0 coefficient {series[0]} != 0")
-    bad += [f"k={k}: {series[k]} != {poly(k)}" for k in range(1, 51) if series[k] != poly(k)]
+    bad += [f"k={k}: {series[k]} != {poly(k)}" for k in range(1, 51) if den * series[k] != scaled(k)]
     return bad[:3]
 
 

@@ -396,7 +396,24 @@ class TestGraph:
     @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
                              ids=["default", "method-powerset", "bfs"])
     def test_one_engine_test_per_k_subset(self, capsys, graph_file, monkeypatch, flags):
-        # Bad sets above size k grow from the level below, so the engine sees each k-set once and nothing larger.
+        # The scan branch: 2k > n (n = 7, k = 4) tests every k-subset with the engine.  Bad sets above
+        # size k grow from the level below, so the engine sees each k-set once and nothing larger.
+        seen = self.engine_calls(monkeypatch)
+        code, _, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", *flags)
+        assert code == 0
+        assert sorted(seen) == list(combinations(range(1, 8), 4))
+
+    @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
+                             ids=["default", "method-powerset", "bfs"])
+    def test_no_engine_test_when_2k_at_most_n(self, capsys, graph_file, monkeypatch, flags):
+        # The ESU branch: 2k <= n (n = 7, k = 3) grows the connected k-sets over the adjacency.
+        seen = self.engine_calls(monkeypatch)
+        code, out, _ = run(capsys, "graph", graph_file, "--k", "3", "--no-timing", *flags)
+        assert code == 0 and "m=3 q=16\n" in out
+        assert seen == []
+
+    @staticmethod
+    def engine_calls(monkeypatch):
         seen = []
 
         def counting(engine):
@@ -407,9 +424,7 @@ class TestGraph:
 
         for name in ("_connected_by_search", "_gaps_at_most_two"):
             monkeypatch.setattr(complements, name, counting(getattr(complements, name)))
-        code, _, _ = run(capsys, "graph", graph_file, "--k", "4", "--no-timing", *flags)
-        assert code == 0
-        assert sorted(seen) == list(combinations(range(1, 8), 4))
+        return seen
 
     def test_bad_set_cap(self, capsys, tmp_path, monkeypatch):
         # K_10 with k = 2 makes every set of size >= 2 bad; its largest level holds C(10, 5) = 252 sets.

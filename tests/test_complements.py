@@ -23,7 +23,7 @@ from cutcx import (
     z_count,
 )
 from cutcx import complements
-from cutcx.complements import bad_sets_by_size, connectivity_test
+from cutcx.complements import _connected_k_sets, bad_sets_by_size, connectivity_test
 from cutcx.graphs import CapacityError, _connected_by_search, _gaps_at_most_two
 
 
@@ -168,18 +168,59 @@ class TestBadSetLevels:
         assert levels[1] == {tuple(range(s, s + 5)) for s in range(1, 6)}
 
     def test_cap_stops_before_an_oversized_level_is_held(self, monkeypatch):
-        # Every 5-subset of K_10 is connected; the level is cut off at the first set past the cap.
-        seen = []
+        # Every 5-subset of K_10 is connected, and 2k <= n grows level 5 by ESU.  The generator
+        # must stay lazy: the level is cut off at the first set drawn past the cap.
+        drawn = []
 
-        def search(graph, t):
-            seen.append(t)
-            return _connected_by_search(graph, t)
+        def counting(graph, k):
+            for t in _connected_k_sets(graph, k):
+                drawn.append(t)
+                yield t
 
-        monkeypatch.setattr(complements, "_connected_by_search", search)
+        monkeypatch.setattr(complements, "_connected_k_sets", counting)
         monkeypatch.setattr(complements, "BAD_SET_LIMIT", 10)
         with pytest.raises(CapacityError, match="more than 10 bad 5-sets"):
             next(bad_sets_by_size(complete_graph(10), 5))
-        assert len(seen) == 11
+        assert len(drawn) == 11
+
+
+class TestConnectedKSets:
+    """Level k two ways: ESU growth (2k <= n) against the C(n, k) scan through the engine (2k > n)."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(20261020)
+        for n in range(1, 13):
+            for density in (0.2, 0.4, 0.6, 0.8):
+                yield Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+        for n in (1, 2, 5, 9, 12):
+            yield squared_path(n)
+            yield Graph(n, [(i, i + 1) for i in range(1, n)])
+            yield complete_graph(n)
+            yield Graph(n)
+        # Several components: two triangles, a path on 4 and an isolated vertex; and two squared paths.
+        yield Graph(11, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (9, 10)])
+        yield Graph(12, [(u, v) for u, v in squared_path(6).edges()] + [(u + 6, v + 6) for u, v in squared_path(6).edges()])
+
+    def test_esu_equals_the_scan_for_every_k(self):
+        for g in self.graphs():
+            for k in range(1, g.n + 1):
+                scan = set(filter(connectivity_test(g), combinations(range(1, g.n + 1), k)))
+                assert set(_connected_k_sets(g, k)) == scan, (g, k)
+
+    def test_esu_never_yields_a_set_twice(self):
+        for g in self.graphs():
+            for k in range(1, g.n + 1):
+                sets = list(_connected_k_sets(g, k))
+                assert len(sets) == len(set(sets)), (g, k)
+
+    def test_level_k_is_grown_by_esu_only_when_2k_at_most_n(self, monkeypatch):
+        routes = []
+        esu = complements._connected_k_sets
+        monkeypatch.setattr(complements, "_connected_k_sets", lambda graph, k: routes.append(k) or esu(graph, k))
+        for k in range(2, 10):
+            next(bad_sets_by_size(complete_graph(9), k))
+        assert routes == [2, 3, 4]
 
 
 class TestEngineResolution:
