@@ -1,13 +1,17 @@
-"""Finite-field simplicial homology for small complexes, by boundary ranks.
+"""Simplicial homology for small complexes, by boundary ranks.
 
 The chain complex is augmented: the empty face is the single generator in
-dimension -1, so Betti numbers are reduced.  Ranks are computed exactly,
-over every prime alike, by sparse column reduction mod p on the stored
-boundary columns.  They are computed top-down with clearing (Chen-Kerber's
-twist): a column of the d-th boundary whose face is a pivot row of the
-reduced (d+1)-th boundary is skipped, since boundary composition vanishing
-makes it a combination of earlier columns.  Boundary composition is
-checked over the integers, which forces it over every field.
+dimension -1, so Betti numbers are reduced.  Ranks are computed exactly in
+two ways.  Over the integers, a bit-packed column reduction admits only
+pivots of +1 or -1; when it finishes, every image is a saturated lattice,
+so the homology has no torsion and its ranks are the Betti numbers over
+every field.  Over GF(p), for any prime, sparse column reduction mod p
+always finishes.  Both run top-down with clearing (Chen-Kerber's twist): a
+column of the d-th boundary whose face is a pivot row of the reduced
+(d+1)-th boundary is skipped, since boundary composition vanishing makes it
+a combination of earlier columns, an integer one when that pivot is a unit.
+Boundary composition is checked over the integers, which forces it over
+every field.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from .graphs import CapacityError, squared_path
 
 MAX_PRIME = 1 << 16
 
-# Largest n whose squared-path homology checks run within budget: over
-# GF(2) and GF(3), every k at n = 18 takes about 53 s of CPU (n = 17 about
-# 24 s; 2-vCPU VM, Python 3.11), and each further vertex costs about 2.2
-# times more.
+# Largest n whose squared-path homology checks run within budget: every k
+# at n = 18 takes 35-43 s of CPU (n = 17 12-17 s; two runs, 2-vCPU VM,
+# Python 3.11) for any list of primes, since the integer certificate decides
+# every one of these complexes, and each further vertex costs about 3 times
+# more.  A run at n = 18 peaks near 330 MB, against 140 MB over GF(p)
+# alone, as each integer pivot is a dense bitmask as wide as its largest row.
 HOMOLOGY_LIMIT = 18
 
 # A rank computation samples finitely many coefficient fields; it can
@@ -96,6 +102,54 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
                     col[i] = c
                 else:
                     del col[i]
+    return set(pivots)
+
+
+def _unit_pivot_rows(columns: Iterable[Collection[tuple[int, int]]]) -> set[int] | None:
+    """Pivot rows of the reduced matrix over the integers, or None when undecided.
+
+    Each column is held as two bitmasks, plus and minus, with one bit for
+    each row holding +1 and -1.  Reduction is that of _pivot_rows, keyed by
+    the largest row, with every pivot stored with a leading +1: a column
+    leading with +1 subtracts the pivot, one leading with -1 adds it.  Each
+    step is unimodular, so the pivots are units and the column span is
+    unchanged.  None means a column that lists a row twice or a value
+    outside {-1, 0, 1}, or a step that would make a 2 or a -2.  That leaves
+    the question of torsion open; it never means the rank is wrong.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for entries in columns:
+        plus = minus = 0
+        listed = len(entries)
+        for i, value in entries:
+            if value == 1:
+                plus |= 1 << i
+            elif value == -1:
+                minus |= 1 << i
+            elif value:
+                return None
+            else:
+                listed -= 1
+        if (plus | minus).bit_count() != listed:  # a row listed twice
+            return None
+        while plus or minus:
+            # plus and minus are disjoint, so the larger holds the largest row.
+            positive = plus > minus
+            low = (plus if positive else minus).bit_length() - 1
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (plus, minus) if positive else (minus, plus)
+                break
+            add_plus, add_minus = pivot
+            if positive:
+                add_plus, add_minus = add_minus, add_plus
+            if plus & add_plus or minus & add_minus:
+                return None
+            plus |= add_plus
+            minus |= add_minus
+            cancelled = plus & minus
+            plus ^= cancelled
+            minus ^= cancelled
     return set(pivots)
 
 
@@ -220,13 +274,21 @@ def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
             minus: list[int] = []
             for mid, sign in col:
                 adds, subs = split[mid]
-                if sign > 0:
+                if sign == 1:  # a boundary has only signs of 1 and -1
+                    plus += adds
+                    minus += subs
+                elif sign == -1:
+                    plus += subs
+                    minus += adds
+                elif sign > 0:
                     plus += adds * sign
                     minus += subs * sign
                 else:
                     plus += subs * -sign
                     minus += adds * -sign
-            if sorted(plus) != sorted(minus):
+            plus.sort()
+            minus.sort()
+            if plus != minus:
                 return False
     return True
 
@@ -241,19 +303,43 @@ def betti_numbers(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
     return _betti(matrices, prime)
 
 
-def _betti(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
+def integral_betti(matrices: Sequence[BoundaryMatrix]) -> list[int] | None:
+    """Reduced Betti numbers in dimensions 0..d over every field at once, or None when undecided.
+
+    A vector certifies that the integral homology has no torsion, so by
+    universal coefficients it is the Betti vector over GF(p) for every
+    prime p.  None means the integer reduction met an entry it could not
+    keep in {-1, 0, 1}, so torsion is not ruled out; betti_numbers then
+    answers prime by prime.
+    """
+    if not composition_vanishes(matrices):
+        raise RuntimeError("internal error: boundary composition does not vanish")
+    return _betti(matrices, None)
+
+
+def _betti(matrices: Sequence[BoundaryMatrix], prime: int | None) -> list[int] | None:
     """Reduced Betti numbers from the ranks alone, on a complex already checked for dd = 0.
 
-    Ranks run from the top dimension down.  A pivot row of the reduced
+    Ranks are taken over GF(prime), or over the integers with unit pivots
+    when prime is None, which gives None when that reduction is undecided.
+    They run from the top dimension down.  A pivot row of the reduced
     boundary of dimension d+1 names a d-face whose column in the boundary
     of dimension d is a combination of earlier columns, so it is cleared.
     """
     ranks = [0] * len(matrices)
-    cleared: set[int] = set()
+    cleared: set[int] | None = set()
     for i in reversed(range(len(matrices))):
-        pivots: set[int] = set()
-        ranks[i] = matrices[i].rank(prime, cleared, pivots)
-        cleared = pivots
+        m = matrices[i]
+        if prime is None:
+            columns = [col for j, col in enumerate(m.columns) if j not in cleared] if cleared else m.columns
+            cleared = _unit_pivot_rows(columns)
+            if cleared is None:
+                return None
+            ranks[i] = len(cleared)
+        else:
+            pivots: set[int] = set()
+            ranks[i] = m.rank(prime, cleared, pivots)
+            cleared = pivots
     out = []
     for i, m in enumerate(matrices):
         higher = ranks[i + 1] if i + 1 < len(ranks) else 0
@@ -272,15 +358,17 @@ class ConcentrationReport:
     betti_by_prime: dict[int, tuple[int, ...]]
     ok: bool
     mismatches: tuple[str, ...]
-    note = FIELD_SAMPLING_NOTE  # a class constant: no report certifies more than its sampled fields
+    torsion_free: bool  # the integer reduction decided, so betti_by_prime holds for every field
+    note = FIELD_SAMPLING_NOTE  # a class constant; it applies when torsion_free is false
 
 
 def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> ConcentrationReport:
     """Compare squared-path cut complex homology against the closed top Betti number.
 
     Expected: zero in every dimension except r-1, where the closed formula
-    value must appear, over each sampled prime.  A mismatch is reported,
-    never silently passed.
+    value must appear, over each sampled prime.  One integer reduction
+    answers every prime when it decides; otherwise each prime gets its own
+    reduction.  A mismatch is reported, never silently passed.
     """
     if k < 2 or n < k + 2:
         raise ValueError(f"need k >= 2 and n >= k+2, got k={k}, n={n}")
@@ -295,10 +383,11 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
     matrices = build_chain_complex(faces_by_dimension(squared_path(n), k))
     if not composition_vanishes(matrices):
         raise RuntimeError("internal error: boundary composition does not vanish")
+    integral = _betti(matrices, None)
     betti_by_prime: dict[int, tuple[int, ...]] = {}
     mismatches: list[str] = []
     for p in prime_list:
-        vec = tuple(_betti(matrices, p))
+        vec = tuple(_betti(matrices, p) if integral is None else integral)
         betti_by_prime[p] = vec
         if vec != expected:
             mismatches.append(f"prime={p} betti={vec} expected={expected}")
@@ -310,4 +399,5 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
         betti_by_prime=betti_by_prime,
         ok=not mismatches,
         mismatches=tuple(mismatches),
+        torsion_free=integral is not None,
     )

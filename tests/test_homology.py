@@ -11,6 +11,8 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutcx.homology
 from cutcx import (
@@ -25,6 +27,7 @@ from cutcx import (
     composition_vanishes,
     f_vector_bruteforce,
     faces_by_dimension,
+    integral_betti,
     is_prime,
     rank_mod_p,
     reduced_euler,
@@ -497,3 +500,129 @@ class TestClearing:
             assert all(columns == rank for columns, rank in fed[:-1]), (p, fed)
             skipped = [m.ncols - columns for m, (columns, _) in zip(matrices, fed)]
             assert skipped[4:6] == [1287, 1716]
+
+    def test_integer_kernel_clears_the_same_columns(self, monkeypatch):
+        # The twin of the test above for the unit-pivot reduction over the integers.
+        fed: list[tuple[int, int]] = []
+        original = cutcx.homology._unit_pivot_rows
+
+        def counting(columns):
+            columns = list(columns)
+            rows = original(columns)
+            fed.append((len(columns), len(rows)))
+            return rows
+
+        monkeypatch.setattr(cutcx.homology, "_unit_pivot_rows", counting)
+        matrices = complex_for(6, 14)
+        assert integral_betti(matrices) == [0] * 7 + [1087]
+        fed.reverse()
+        assert len(fed) == len(matrices)
+        assert fed[-1][0] == matrices[-1].ncols
+        assert all(columns == rank for columns, rank in fed[:-1]), fed
+        skipped = [m.ncols - columns for m, (columns, _) in zip(matrices, fed)]
+        assert skipped[4:6] == [1287, 1716]
+
+
+# The 6-vertex real projective plane: H_1 = Z/2, so its reduced Betti numbers
+# are 0, 1, 1 over GF(2) and 0, 0, 0 over every odd prime.
+RP2_TRIANGLES = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+                 (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
+
+
+def rp2() -> list[BoundaryMatrix]:
+    edges = sorted({e for t in RP2_TRIANGLES for e in combinations(t, 2)})
+    return build_chain_complex([[(v,) for v in range(1, 7)], edges, RP2_TRIANGLES])
+
+
+# Dense matrices with entries in {-1, 0, 1}, given row by row.
+unit_entry_matrices = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(st.lists(st.sampled_from((-1, 0, 0, 1)), min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=7)
+)
+
+
+class TestIntegralBetti:
+    """One reduction over the integers, admitting only unit pivots, against the per-prime ranks."""
+
+    def test_planted_torsion_is_undecided(self):
+        matrices = rp2()
+        assert integral_betti(matrices) is None
+        assert betti_numbers(matrices, 2) == [0, 1, 1]
+        assert betti_numbers(matrices, 3) == [0, 0, 0]
+
+    def test_squared_paths_are_decided(self):
+        for n in range(4, 13):
+            for k in range(2, n + 1):
+                matrices = complex_for(k, n)
+                betti = integral_betti(matrices)
+                assert betti is not None, (k, n)
+                assert betti == betti_numbers(matrices, 2) == betti_numbers(matrices, 3), (k, n)
+
+    def test_random_graphs_match_every_prime(self):
+        rng = random.Random(20261019)
+        total = undecided = 0
+        wrong = []
+        for n in range(4, 10):
+            for density in (0.2, 0.4, 0.6, 0.8):
+                g = Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+                for k in range(2, n + 1):
+                    matrices = build_chain_complex(faces_by_dimension(g, k))
+                    betti = integral_betti(matrices)
+                    total += 1
+                    if betti is None:
+                        undecided += 1
+                    elif any(betti != betti_numbers(matrices, p) for p in (2, 3, 5)):
+                        wrong.append((g, k))
+        assert not wrong, f"{len(wrong)} of {total} disagree, {undecided} undecided: {wrong[:3]}"
+        assert undecided < total, f"{undecided} of {total} undecided"
+
+    @given(unit_entry_matrices)
+    @settings(max_examples=200)
+    def test_decided_rank_is_the_rank_over_every_prime(self, rows):
+        columns = columns_of(rows)
+        pivots = cutcx.homology._unit_pivot_rows(columns)
+        if pivots is not None:
+            assert [len(pivots)] * 4 == [rank_mod_p(columns, p) for p in (2, 3, 5, 7)]
+
+    @given(unit_entry_matrices, st.data())
+    @settings(max_examples=100)
+    def test_an_entry_of_two_is_undecided(self, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        j = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+        rows[i][j] = data.draw(st.sampled_from((2, -2)), label="entry")
+        assert cutcx.homology._unit_pivot_rows(columns_of(rows)) is None
+
+    def test_a_step_that_makes_a_two_is_undecided(self):
+        # det = 2: subtracting the first column leaves -2 in row 0 of the second.
+        assert cutcx.homology._unit_pivot_rows(columns_of([[1, -1], [1, 1]])) is None
+        # det = -2: adding the first column leaves 2 in row 0 of the second.
+        assert cutcx.homology._unit_pivot_rows(columns_of([[1, 1], [1, -1]])) is None
+        # det = 1, with a first pivot that leads with -1 and is stored negated.
+        assert cutcx.homology._unit_pivot_rows(columns_of([[1, 0], [-1, 1]])) == {0, 1}
+
+    def test_checks_boundary_composition(self):
+        assert integral_betti([]) == []
+        low = BoundaryMatrix(dim=0, nrows=1, ncols=2, columns=(((0, 1),), ((0, 1),)))
+        high = BoundaryMatrix(dim=1, nrows=2, ncols=1, columns=(((0, 1),),))
+        with pytest.raises(RuntimeError, match="composition"):
+            integral_betti([low, high])
+
+    def test_report_is_torsion_free_when_decided(self):
+        report = verify_concentration(4, 8, (2, 3, 5, 7))
+        assert report.ok and report.torsion_free
+        assert report.betti_by_prime == {p: (0, 0, 0, 11) for p in (2, 3, 5, 7)}
+
+    def test_undecided_falls_back_to_each_prime(self, monkeypatch):
+        ranked = []
+        original = cutcx.homology.BoundaryMatrix.rank
+
+        def counting(self, p, *args):
+            ranked.append(p)
+            return original(self, p, *args)
+
+        monkeypatch.setattr(cutcx.homology, "_unit_pivot_rows", lambda columns: None)
+        monkeypatch.setattr(cutcx.homology.BoundaryMatrix, "rank", counting)
+        report = verify_concentration(4, 8, (2, 3))
+        assert report.ok and not report.torsion_free
+        assert report.betti_by_prime == {2: (0, 0, 0, 11), 3: (0, 0, 0, 11)}
+        assert sorted(set(ranked)) == [2, 3]

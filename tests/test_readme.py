@@ -56,4 +56,4 @@ def test_library_block():
             checked += 1
         else:
             exec(source, namespace)
-    assert checked == 9
+    assert checked == 10
