@@ -23,7 +23,6 @@ from .complexes import (
     face_enumerator_closed,
     faces_by_dimension,
     is_face,
-    layered_beta,
     nonface_layers,
     reduced_euler,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "is_face",
     "is_prime",
     "is_squared_path",
-    "layered_beta",
     "leading_coefficient",
     "nonface_layers",
     "parse_graph",

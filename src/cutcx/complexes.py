@@ -172,14 +172,6 @@ def nonface_layers(k: int, n: int) -> NonfaceLayers:
     return NonfaceLayers(k=k, n=n, level_rminus1=level_rminus1, level_r_by_j=tuple(level_r_by_j))
 
 
-def layered_beta(k: int, n: int) -> int:
-    """Top Betti number via the layered nonface count: C(n-1, r) + r - z."""
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
-    r = n - k
-    return binom(n - 1, r) + r - z_count(k, n)
-
-
 def faces_by_dimension(graph: Graph, k: int) -> list[list[tuple[int, ...]]]:
     """Faces grouped by dimension (index d lists the cardinality d+1 faces).
 

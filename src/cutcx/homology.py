@@ -6,20 +6,21 @@ two ways.  Over the integers, a bit-packed column reduction admits only
 pivots of +1 or -1; when it finishes, every image is a saturated lattice,
 so the homology has no torsion and its ranks are the Betti numbers over
 every field.  Over GF(p), for any prime, sparse column reduction mod p
-always finishes.  Both run top-down with clearing (Chen-Kerber's twist): a
-column of the d-th boundary whose face is a pivot row of the reduced
-(d+1)-th boundary is skipped, since boundary composition vanishing makes it
-a combination of earlier columns, an integer one when that pivot is a unit.
-Boundary composition is checked over the integers, which forces it over
-every field.
+always finishes.  One driver runs either reduction top-down with clearing
+(Chen-Kerber's twist): a column of the d-th boundary whose face is a pivot
+row of the reduced (d+1)-th boundary is skipped, since boundary composition
+vanishing makes it a combination of earlier columns, an integer one when
+that pivot is a unit.  Boundary composition is checked over the integers,
+which forces it over every field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, count, cycle, repeat
 from operator import getitem, lt
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .complexes import faces_by_dimension
 from .formulas import beta_closed
@@ -167,21 +168,9 @@ class BoundaryMatrix:
     ncols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def rank(self, p: int, skip: Collection[int] = (), pivot_rows: set[int] | None = None) -> int:
-        """Rank over GF(p), leaving out the columns in skip.
-
-        The pivot rows of the reduction are added to pivot_rows when given.
-        Skipping is sound only for columns known to lie in the span of
-        earlier ones, as clearing guarantees.
-        """
-        require_prime(p)
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        columns = [col for j, col in enumerate(self.columns) if j not in skip] if skip else self.columns
-        rows = _pivot_rows(columns, p)
-        if pivot_rows is not None:
-            pivot_rows |= rows
-        return len(rows)
+    def rank(self, p: int) -> int:
+        """Rank over GF(p)."""
+        return rank_mod_p(self.columns, p)
 
 
 def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> list[BoundaryMatrix]:
@@ -300,7 +289,7 @@ def betti_numbers(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
         return []
     if not composition_vanishes(matrices):
         raise RuntimeError("internal error: boundary composition does not vanish")
-    return _betti(matrices, prime)
+    return _betti(matrices, partial(_pivot_rows, p=prime))
 
 
 def integral_betti(matrices: Sequence[BoundaryMatrix]) -> list[int] | None:
@@ -314,37 +303,30 @@ def integral_betti(matrices: Sequence[BoundaryMatrix]) -> list[int] | None:
     """
     if not composition_vanishes(matrices):
         raise RuntimeError("internal error: boundary composition does not vanish")
-    return _betti(matrices, None)
+    return _betti(matrices, _unit_pivot_rows)
 
 
-def _betti(matrices: Sequence[BoundaryMatrix], prime: int | None) -> list[int] | None:
+def _betti(matrices: Sequence[BoundaryMatrix], pivot_rows: Callable[[Sequence], set[int] | None]) -> list[int] | None:
     """Reduced Betti numbers from the ranks alone, on a complex already checked for dd = 0.
 
-    Ranks are taken over GF(prime), or over the integers with unit pivots
-    when prime is None, which gives None when that reduction is undecided.
-    They run from the top dimension down.  A pivot row of the reduced
-    boundary of dimension d+1 names a d-face whose column in the boundary
-    of dimension d is a combination of earlier columns, so it is cleared.
+    pivot_rows reduces a list of columns to its pivot rows, one per unit of
+    rank: _unit_pivot_rows over the integers, or _pivot_rows bound to a
+    prime.  A None from it, undecided, makes the result None.  Ranks run
+    from the top dimension down.  A pivot row of the reduced boundary of
+    dimension d+1 names a d-face whose column in the boundary of dimension
+    d is a combination of earlier columns, so it is cleared.
     """
-    ranks = [0] * len(matrices)
+    ranks = [0] * (len(matrices) + 1)
     cleared: set[int] | None = set()
     for i in reversed(range(len(matrices))):
-        m = matrices[i]
-        if prime is None:
-            columns = [col for j, col in enumerate(m.columns) if j not in cleared] if cleared else m.columns
-            cleared = _unit_pivot_rows(columns)
-            if cleared is None:
-                return None
-            ranks[i] = len(cleared)
-        else:
-            pivots: set[int] = set()
-            ranks[i] = m.rank(prime, cleared, pivots)
-            cleared = pivots
-    out = []
-    for i, m in enumerate(matrices):
-        higher = ranks[i + 1] if i + 1 < len(ranks) else 0
-        out.append(m.ncols - ranks[i] - higher)
-    return out
+        columns = matrices[i].columns
+        if cleared:
+            columns = [col for j, col in enumerate(columns) if j not in cleared]
+        cleared = pivot_rows(columns)
+        if cleared is None:
+            return None
+        ranks[i] = len(cleared)
+    return [m.ncols - ranks[i] - ranks[i + 1] for i, m in enumerate(matrices)]
 
 
 @dataclass(frozen=True)
@@ -381,13 +363,11 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
     expected_top = beta_closed(k, n)
     expected = tuple([0] * (r - 1) + [expected_top])
     matrices = build_chain_complex(faces_by_dimension(squared_path(n), k))
-    if not composition_vanishes(matrices):
-        raise RuntimeError("internal error: boundary composition does not vanish")
-    integral = _betti(matrices, None)
+    integral = integral_betti(matrices)
     betti_by_prime: dict[int, tuple[int, ...]] = {}
     mismatches: list[str] = []
     for p in prime_list:
-        vec = tuple(_betti(matrices, p) if integral is None else integral)
+        vec = tuple(_betti(matrices, partial(_pivot_rows, p=p)) if integral is None else integral)
         betti_by_prime[p] = vec
         if vec != expected:
             mismatches.append(f"prime={p} betti={vec} expected={expected}")

@@ -16,7 +16,6 @@ import cutcx.complements
 from cutcx import (
     FVector,
     Graph,
-    beta_closed,
     binom,
     complete_graph,
     disconnected_k_sets,
@@ -24,7 +23,6 @@ from cutcx import (
     face_enumerator_closed,
     faces_by_dimension,
     is_face,
-    layered_beta,
     nonface_layers,
     reduced_euler,
     squared_path,
@@ -195,16 +193,6 @@ class TestNonfaceLayers:
         assert text.splitlines()[0] == "k=4 n=7 r=3"
         assert "level=r-1 set=6,7" in text
         assert "level=r j=3 set=2,4,6" in text
-
-
-class TestLayeredBeta:
-    def test_matches_closed_form(self):
-        for n in range(4, 41):
-            for k in range(2, n - 1):
-                assert layered_beta(k, n) == beta_closed(k, n), (k, n)
-
-    def test_frozen(self):
-        assert layered_beta(4, 7) == 3
 
 
 class TestFacesByDimension:

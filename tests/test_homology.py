@@ -614,15 +614,38 @@ class TestIntegralBetti:
 
     def test_undecided_falls_back_to_each_prime(self, monkeypatch):
         ranked = []
-        original = cutcx.homology.BoundaryMatrix.rank
+        original = cutcx.homology._pivot_rows
 
-        def counting(self, p, *args):
+        def counting(columns, p):
             ranked.append(p)
-            return original(self, p, *args)
+            return original(columns, p)
 
         monkeypatch.setattr(cutcx.homology, "_unit_pivot_rows", lambda columns: None)
-        monkeypatch.setattr(cutcx.homology.BoundaryMatrix, "rank", counting)
+        monkeypatch.setattr(cutcx.homology, "_pivot_rows", counting)
         report = verify_concentration(4, 8, (2, 3))
         assert report.ok and not report.torsion_free
         assert report.betti_by_prime == {2: (0, 0, 0, 11), 3: (0, 0, 0, 11)}
         assert sorted(set(ranked)) == [2, 3]
+
+    def test_undecided_below_the_top_is_undecided(self, monkeypatch):
+        # The top boundary is decided and the one below it is not: the whole
+        # integer pass is undecided, and the report falls back to each prime.
+        original = cutcx.homology._unit_pivot_rows
+
+        def second_call_undecided():
+            calls = []
+
+            def reduce(columns):
+                calls.append(len(columns))
+                return None if len(calls) == 2 else original(columns)
+
+            monkeypatch.setattr(cutcx.homology, "_unit_pivot_rows", reduce)
+            return calls
+
+        calls = second_call_undecided()
+        assert integral_betti(complex_for(4, 8)) is None
+        assert len(calls) == 2
+        second_call_undecided()
+        report = verify_concentration(4, 8, (2, 3))
+        assert report.ok and not report.torsion_free
+        assert report.betti_by_prime == {2: (0, 0, 0, 11), 3: (0, 0, 0, 11)}
