@@ -30,7 +30,7 @@ from .complements import q_profile_bruteforce, q_profile_closed, z_count
 from .complexes import FVector, face_enumerator_closed, nonface_layers
 from .complexes import f_vector_bruteforce  # unused here; kept because bench/tracer.py wraps cli.f_vector_bruteforce
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
-from .graphs import CapacityError, is_squared_path, parse_graph
+from .graphs import CapacityError, parse_graph
 from .homology import require_prime
 from .verification import SCOPES, run_jobs, scope_jobs, seed_jobs
 
@@ -238,8 +238,6 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
     except OSError as exc:
         raise ValueError(f"cannot read graph file: {exc}") from None
     graph = parse_graph(text, scan="brute-force f-vector")
-    if args.connectivity == "gap" and not is_squared_path(graph):
-        raise ValueError("--connectivity gap is only valid for squared paths; use bfs")
     profile = q_profile_bruteforce(graph, args.k)
     fv = FVector.from_profile(profile)
     meta = {"n": graph.n, "k": args.k, "edge_count": graph.edge_count}
@@ -299,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", parents=[common], help="brute-force a graph from a file")
     p_graph.add_argument("path", help="file in the 'n <count>' / 'e <u> <v>' line format")
     p_graph.add_argument("--k", type=int, required=True)
-    p_graph.add_argument("--connectivity", choices=("bfs", "gap"), default=None,
-                         help="kept for compatibility: the graph picks the engine; gap is refused off squared paths")
     p_graph.add_argument("--method", choices=("powerset", "complement"), default=None,
                          help="ignored, kept for compatibility: face counts are always read off the bad-set profile")
     p_graph.set_defaults(handler=cmd_graph)

@@ -80,9 +80,8 @@ def diagonal_poly(r: int) -> Polynomial:
     p = Polynomial([Fraction(c, scale) for c in num])
     if p.degree != r - 1:
         raise RuntimeError(f"internal error: diagonal polynomial degree {p.degree} != {r - 1}")
-    scaled = Polynomial(num)
     for k in range(0, r + 1):
-        if scaled(k) % scale:
+        if type(p(k)) is not int:
             raise RuntimeError(f"internal error: diagonal polynomial not integer at k={k}")
     return p
 
@@ -100,7 +99,7 @@ class RecurrenceEntry:
 
     k: int
     window: str  # "closed" for k >= r+3, "extension" for polynomial values below
-    value: int
+    value: int | Fraction  # a Fraction only when the polynomial is wrong
     ok: bool
 
 
@@ -134,10 +133,8 @@ def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     poly = diagonal_poly(r)
     symbolic_zero = backward_difference(poly, r).is_zero
     entries: list[RecurrenceEntry] = []
-    # Horner on D p in integers; the division is exact because diagonal_poly checks p is integer-valued.
-    scaled, den = poly.over_common_denominator()
     for k in range(3, r + 3):
-        value = sum((-1) ** i * binom(r, i) * scaled(k - i) for i in range(r + 1)) // den
+        value = sum((-1) ** i * binom(r, i) * poly(k - i) for i in range(r + 1))
         entries.append(RecurrenceEntry(k=k, window="extension", value=value, ok=value == 0))
     for k in range(r + 3, k_max + 1):
         value = sum((-1) ** i * binom(r, i) * beta_closed(k - i, k - i + r) for i in range(r + 1))
@@ -178,16 +175,12 @@ def diagonal_genfun(r: int) -> RationalGenFun:
     for c, s, e in terms:
         for i in range(e + 1):
             coeffs[s + i] += (-c if i & 1 else c) * binom(e, i)
-    num = Polynomial(coeffs)
-    if not num.is_integral:
-        raise RuntimeError(f"internal error: generating function numerator {num!r} not integral")
-    gf = RationalGenFun(numerator=num, pole_order=r)
+    gf = RationalGenFun(numerator=Polynomial(coeffs), pole_order=r)
     if not gf.is_canonical:
         raise RuntimeError("internal error: generating function numerator shares a (1-x) factor")
-    # Scaled once, not inside each of the 50 poly(k) calls: Horner on integers at every point.
-    scaled, den = diagonal_poly(r).over_common_denominator()
+    poly = diagonal_poly(r)
     series = gf.series(51)
-    if series[0] != 0 or any(den * series[k] != scaled(k) for k in range(1, 51)):
+    if series[0] != 0 or any(series[k] != poly(k) for k in range(1, 51)):
         raise RuntimeError(f"internal error: series of {gf!r} disagrees with the diagonal polynomial")
     return gf
 

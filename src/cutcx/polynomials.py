@@ -2,7 +2,9 @@
 
 Coefficients are Python ints or fractions.Fraction values; every operation
 is exact.  Polynomials are immutable, stored dense lowest degree first,
-with trailing zeros trimmed so equal polynomials compare equal.
+with trailing zeros trimmed so equal polynomials compare equal.  Each also
+keeps its coefficients as integer numerators over their least common
+denominator, so evaluation and differences run in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -49,13 +51,19 @@ def _taylor_shift(a: Iterable[Scalar], c: Scalar) -> list[Scalar]:
 class Polynomial:
     """Immutable dense polynomial with exact int/Fraction coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_numerators", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_norm(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(cs)
+        den = lcm(*{c.denominator for c in cs if type(c) is not int})
+        # p = numerators / den; an integer polynomial's numerators are its coeffs tuple itself
+        nums = cs if den == 1 else tuple(c.numerator * (den // c.denominator) for c in cs)
+        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_numerators", nums)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -80,7 +88,7 @@ class Polynomial:
     @property
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self._den == 1
 
     def coefficient(self, d: int) -> Scalar:
         if 0 <= d < len(self.coeffs):
@@ -147,22 +155,14 @@ class Polynomial:
         return out
 
     def __call__(self, v: Scalar) -> Scalar:
-        """Exact Horner evaluation; returns an int when the value is integral."""
+        """Exact Horner evaluation on the integer numerators; returns an int when the value is integral."""
         acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            if type(c) is not int and type(v) is int:  # at an integer, Horner on integer numerators instead
-                scaled, den = self.over_common_denominator()
-                return _norm(Fraction(scaled(v), den))
+        for c in reversed(self._numerators):
             acc = acc * v + c
-        return _norm(Fraction(acc)) if isinstance(acc, Fraction) else acc
-
-    def over_common_denominator(self) -> tuple["Polynomial", int]:
-        """(q, D): the least common denominator D of the coefficients and the integer polynomial q = D p."""
-        den = 1
-        for c in reversed(self.coeffs):  # the top denominators tend to be multiples of the rest
-            if den % c.denominator:
-                den = lcm(den, c.denominator)
-        return Polynomial([c.numerator * (den // c.denominator) for c in self.coeffs]), den
+        den = self._den
+        if type(acc) is int and not acc % den:
+            return acc // den
+        return _norm(Fraction(acc, den))
 
     # -- rendering ---------------------------------------------------------
 
@@ -200,11 +200,10 @@ def backward_difference(p: Polynomial, s: int = 1) -> Polynomial:
     """s-fold backward difference: one step maps p(x) to p(x) - p(x-1), in integer numerators."""
     if s < 0:
         raise ValueError("order must be nonnegative")
-    scaled, den = p.over_common_denominator()
-    a = scaled.coeffs
+    a = p._numerators
     for _ in range(min(s, len(a))):  # each step cancels the top coefficient
         a = [x - y for x, y in zip(a[:-1], _taylor_shift(a, -1))]
-    return Polynomial(Fraction(x, den) for x in a)
+    return Polynomial(Fraction(x, p._den) for x in a)
 
 
 @dataclass(frozen=True)

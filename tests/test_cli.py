@@ -368,19 +368,19 @@ class TestGraph:
         assert "f_vector,3,15" in lines
         assert "profile,4,20" in lines
 
-    def test_connectivity_flags_agree(self, capsys, graph_file, tmp_path):
-        # The graph picks the engine; the flag only refuses gap on a graph that is not a squared path.
+    def test_any_connectivity_is_a_usage_error(self, capsys, graph_file, tmp_path):
+        # The graph picks the engine, so no option chooses one: --connectivity is unknown, whatever its value.
         path = tmp_path / "p6.graph"
         path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
-        for fmt in ("text", "json", "csv"):
-            for graph, values in ((graph_file, ("bfs", "gap")), (str(path), ("bfs",))):
-                outputs = {
-                    run(capsys, "graph", graph, "--k", "3", "--no-timing", "--format", fmt, *flags)
-                    for flags in [(), *(("--connectivity", value) for value in values)]
-                }
-                assert len(outputs) == 1 and next(iter(outputs))[0] == 0, (fmt, graph)
-            refused = run(capsys, "graph", str(path), "--k", "3", "--format", fmt, "--connectivity", "gap")
-            assert refused == (2, "", "error: --connectivity gap is only valid for squared paths; use bfs\n")
+        for graph in (graph_file, str(path)):
+            for value in ("bfs", "gap", "nope"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["graph", graph, "--k", "3", "--no-timing", "--connectivity", value])
+                assert exc.value.code == 2
+                out, err = capsys.readouterr()
+                assert out == "" and "--connectivity" in err
+        code, out, _ = run(capsys, "graph", str(path), "--k", "3", "--no-timing")  # the path P_6 takes the search
+        assert code == 0 and "p=2 f=15\np=3 f=16\n" in out
 
     def test_method_flags_agree(self, capsys, graph_file):
         # --method is accepted for compatibility and selects nothing.
@@ -393,8 +393,7 @@ class TestGraph:
             main(["graph", graph_file, "--k", "4", "--method", "magic"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
-                             ids=["default", "method-powerset", "bfs"])
+    @pytest.mark.parametrize("flags", [(), ("--method", "powerset")], ids=["default", "method-powerset"])
     def test_one_engine_test_per_k_subset(self, capsys, graph_file, monkeypatch, flags):
         # The scan branch: 2k > n (n = 7, k = 4) tests every k-subset with the engine.  Bad sets above
         # size k grow from the level below, so the engine sees each k-set once and nothing larger.
@@ -403,8 +402,7 @@ class TestGraph:
         assert code == 0
         assert sorted(seen) == list(combinations(range(1, 8), 4))
 
-    @pytest.mark.parametrize("flags", [(), ("--method", "powerset"), ("--connectivity", "bfs")],
-                             ids=["default", "method-powerset", "bfs"])
+    @pytest.mark.parametrize("flags", [(), ("--method", "powerset")], ids=["default", "method-powerset"])
     def test_no_engine_test_when_2k_at_most_n(self, capsys, graph_file, monkeypatch, flags):
         # The ESU branch: 2k <= n (n = 7, k = 3) grows the connected k-sets over the adjacency.
         seen = self.engine_calls(monkeypatch)
@@ -467,17 +465,6 @@ class TestGraph:
         code, _, err = run(capsys, "graph", str(path), "--k", "3")
         assert code == 3
         assert "n <= 24" in err
-
-    def test_gap_on_non_squared_path_is_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "p6.graph"
-        path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
-        code, out, err = run(capsys, "graph", str(path), "--k", "3", "--connectivity", "gap")
-        assert code == 2
-        assert out == ""
-        assert "squared paths" in err
-        code, out, _ = run(capsys, "graph", str(path), "--k", "3", "--connectivity", "bfs", "--no-timing")
-        assert code == 0
-        assert "p=2 f=15\np=3 f=16\n" in out
 
 
 def kn_pairs(n_min: int, n_max: int, gap: int) -> list[tuple[int, int]]:
@@ -781,7 +768,7 @@ class TestParser:
             ("verify", "--scope", "genfun", "--n-max", "4"),
             ("enum", "hilbert", "4", "7"),
             ("enum", "genfun", "5"),
-            ("graph", str(path), "--k", "4", "--connectivity", "bfs"),
+            ("graph", str(path), "--k", "4"),
             ("graph", str(path), "--k", "3"),
         ]
         sequence = [

@@ -45,6 +45,9 @@ EXPECTED_GRID = {
     6: (10, 46, 136, 324, 674, 1274, 2240, 3720),
 }
 
+# x^4/1000, a fault planted on a diagonal polynomial: its 4th difference is 24/1000 = 3/125.
+QUARTIC_ERROR = Polynomial([0, 0, 0, 0, Fraction(1, 1000)])
+
 
 class TestBetaClosed:
     def test_frozen_values(self):
@@ -158,6 +161,16 @@ class TestRecurrence:
         assert windows[7] == "closed" and windows[12] == "closed"
         assert all(e.ok for e in cert.entries)
 
+    def test_extension_window_reports_exact_values(self, monkeypatch):
+        # The extension entries must show the 3/125 residue exactly, not floor it to 0.
+        original = cutcx.formulas.diagonal_poly
+        monkeypatch.setattr(cutcx.formulas, "diagonal_poly", lambda r: original(r) + QUARTIC_ERROR)
+        cert = verify_recurrence(4, 10)
+        extension = [e for e in cert.entries if e.window == "extension"]
+        assert [e.k for e in extension] == [3, 4, 5, 6]
+        assert all(e.value == Fraction(3, 125) and not e.ok for e in extension)
+        assert not cert.symbolic_zero and not cert.ok
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             verify_recurrence(3, 5)
@@ -215,6 +228,41 @@ class TestGeneratingFunctions:
         monkeypatch.setattr(cutcx.formulas, "diagonal_poly", lambda r: original(r) + error)
         with pytest.raises(RuntimeError, match="disagrees"):
             diagonal_genfun(6)
+
+
+class TestPlantedFaults:
+    """Each post-check of a closed form fires on a fault planted in what it checks."""
+
+    def test_diagonal_not_integer_valued(self, monkeypatch):
+        monkeypatch.setattr(cutcx.formulas, "factorial", lambda r: math.factorial(r) + 1)
+        with pytest.raises(RuntimeError, match="diagonal polynomial not integer at k=0"):
+            diagonal_poly(5)
+
+    def test_diagonal_degree(self, monkeypatch):
+        original = cutcx.formulas._times_linear
+        monkeypatch.setattr(cutcx.formulas, "_times_linear",
+                            lambda c, a: original(c, a)[:-1] if len(c) == 4 else original(c, a))
+        with pytest.raises(RuntimeError, match="diagonal polynomial degree 3 != 4"):
+            diagonal_poly(5)
+
+    def test_sharp_difference_not_constant(self, monkeypatch):
+        original = cutcx.formulas.backward_difference
+        monkeypatch.setattr(cutcx.formulas, "backward_difference", lambda p, s: original(p, s - 1 if s == 4 else s))
+        with pytest.raises(RuntimeError, match="order 4 difference is not constant"):
+            sharp_difference(5)
+
+    def test_sharp_difference_not_integer(self, monkeypatch):
+        original = cutcx.formulas.diagonal_poly
+        monkeypatch.setattr(cutcx.formulas, "diagonal_poly", lambda r: original(r) + QUARTIC_ERROR)
+        with pytest.raises(RuntimeError, match=r"difference constant Fraction\(378, 125\) is not an integer"):
+            sharp_difference(5)
+
+    def test_genfun_not_canonical(self, monkeypatch):
+        # At x = 1 the numerator is r minus 2 C(0, 0); C(0, 0) = 2 makes it vanish at r = 4.
+        original = cutcx.formulas.binom
+        monkeypatch.setattr(cutcx.formulas, "binom", lambda a, b: 2 if (a, b) == (0, 0) else original(a, b))
+        with pytest.raises(RuntimeError, match=r"shares a \(1-x\) factor"):
+            diagonal_genfun(4)
 
 
 def monomial(c, d: int) -> Polynomial:

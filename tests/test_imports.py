@@ -1,8 +1,9 @@
-"""Module coupling pinned by parsing imports.
+"""Module coupling pinned by parsing the source.
 
 The closed formulas in `formulas.py` must not import the face-scan or
-homology oracles that check them; the test reads the module's import
-statements with `ast`, so it holds without importing anything.
+homology oracles that check them, and only `polynomials.py` may touch a
+polynomial's integer numerators and common denominator.  The tests read
+each module with `ast`, so they hold without importing anything.
 """
 
 import ast
@@ -33,3 +34,20 @@ def test_formulas_imports_no_oracle():
 
 def test_reader_sees_relative_imports():
     assert {"complements", "polynomials"} <= imported_modules("formulas")
+
+
+def test_only_polynomials_scales_to_a_common_denominator():
+    # Polynomial decides how to evaluate over its common denominator; no other module scales by hand.
+    private = {"_numerators", "_den", "over_common_denominator"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "polynomials.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {a.name for a in node.names}
+        assert names & private == set(), path.name
