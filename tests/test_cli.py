@@ -368,19 +368,19 @@ class TestGraph:
         assert "f_vector,3,15" in lines
         assert "profile,4,20" in lines
 
-    def test_any_connectivity_is_a_usage_error(self, capsys, graph_file, tmp_path):
-        # The graph picks the engine, so no option chooses one: --connectivity is unknown, whatever its value.
+    def test_connectivity_flags_agree(self, capsys, graph_file, tmp_path):
+        # The graph picks the engine, so no option chooses one: every --connectivity value is refused alike.
         path = tmp_path / "p6.graph"
         path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
-        for graph in (graph_file, str(path)):
-            for value in ("bfs", "gap", "nope"):
-                with pytest.raises(SystemExit) as exc:
-                    main(["graph", graph, "--k", "3", "--no-timing", "--connectivity", value])
-                assert exc.value.code == 2
-                out, err = capsys.readouterr()
-                assert out == "" and "--connectivity" in err
-        code, out, _ = run(capsys, "graph", str(path), "--k", "3", "--no-timing")  # the path P_6 takes the search
-        assert code == 0 and "p=2 f=15\np=3 f=16\n" in out
+        for fmt in ("text", "json", "csv"):
+            for graph in (graph_file, str(path)):
+                for value in ("bfs", "gap", "nope"):
+                    with pytest.raises(SystemExit) as exc:
+                        main(["graph", graph, "--k", "3", "--no-timing", "--format", fmt, "--connectivity", value])
+                    assert exc.value.code == 2
+                    out, err = capsys.readouterr()
+                    assert out == "" and "--connectivity" in err, (fmt, graph, value)
+                assert run(capsys, "graph", graph, "--k", "3", "--no-timing", "--format", fmt)[0] == 0
 
     def test_method_flags_agree(self, capsys, graph_file):
         # --method is accepted for compatibility and selects nothing.
@@ -465,6 +465,20 @@ class TestGraph:
         code, _, err = run(capsys, "graph", str(path), "--k", "3")
         assert code == 3
         assert "n <= 24" in err
+
+    def test_gap_on_non_squared_path_is_usage_error(self, capsys, tmp_path):
+        # --connectivity is no option of graph; the path P_6 still gets its answer from the search engine.
+        path = tmp_path / "p6.graph"
+        path.write_text("n 6\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 6)), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", str(path), "--k", "3", "--connectivity", "gap"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--connectivity" in err
+        code, out, _ = run(capsys, "graph", str(path), "--k", "3", "--no-timing")
+        assert code == 0
+        assert "p=2 f=15\np=3 f=16\n" in out
 
 
 def kn_pairs(n_min: int, n_max: int, gap: int) -> list[tuple[int, int]]:
