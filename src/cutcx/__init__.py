@@ -54,7 +54,6 @@ from .graphs import (
     squared_path,
 )
 from .homology import (
-    FIELD_SAMPLING_NOTE,
     HOMOLOGY_LIMIT,
     BoundaryMatrix,
     ConcentrationReport,
@@ -77,7 +76,6 @@ __all__ = [
     "BoundaryMatrix",
     "CapacityError",
     "ConcentrationReport",
-    "FIELD_SAMPLING_NOTE",
     "FULL_SCAN_LIMIT",
     "FVector",
     "Graph",

@@ -32,7 +32,7 @@ from .complexes import f_vector_bruteforce  # unused here; kept because bench/tr
 from .formulas import BettiTable, diagonal_genfun, h_polynomial, hilbert_series
 from .graphs import CapacityError, parse_graph
 from .homology import require_prime
-from .verification import SCOPES, run_jobs, scope_jobs, seed_jobs
+from .verification import SCOPES, SEED_N_MAX, run_jobs, scope_jobs, seed_jobs
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -190,7 +190,7 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, View]:
 def cmd_verify(args: argparse.Namespace) -> tuple[int, View]:
     primes = _parse_primes(args.primes)
     if args.seed_check:
-        scope, n_max = "seed-check", 9
+        scope, n_max = "seed-check", SEED_N_MAX
         jobs = seed_jobs(primes)
     else:
         scope, n_max = args.scope, args.n_max

@@ -18,7 +18,7 @@ from .complements import BadProfile, _all_k_subsets_connected, bad_sets_by_size,
 from .complements import q_profile_bruteforce, z_count
 from .complements import is_bad  # unused here; kept because bench/tracer.py wraps complexes.is_bad
 from .graphs import Graph, canonical_vertex_set, require_full_scan_capacity, squared_path
-from .polynomials import Polynomial, binom
+from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def face_enumerator_closed(k: int, n: int) -> Polynomial:
     if not 2 <= k <= n - 2:
         raise ValueError(f"need 2 <= k <= n-2, got k={k}, n={n}")
     r = n - k
-    coeffs = [binom(n, p) for p in range(r + 1)]
+    coeffs = [comb(n, p) for p in range(r + 1)]
     coeffs[r - 1] -= r
     coeffs[r] -= z_count(k, n)
     return Polynomial(coeffs)

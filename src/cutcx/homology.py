@@ -36,10 +36,6 @@ MAX_PRIME = 1 << 16
 # alone, as each integer pivot is a dense bitmask as wide as its largest row.
 HOMOLOGY_LIMIT = 18
 
-# A rank computation samples finitely many coefficient fields; it can
-# certify homology over those fields, never the homotopy type.
-FIELD_SAMPLING_NOTE = "homology certified over the sampled prime fields only"
-
 
 def is_prime(p: int) -> bool:
     if p < 2:
@@ -211,7 +207,9 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
         else:
             rows = list(map(below.get, chain.from_iterable(map(combinations, layer, repeat(d)))))
             if None in rows:
-                raise _missing_subface(layer, below)
+                i, j = divmod(rows.index(None), d + 1)
+                f, pos = layer[i], d - j
+                raise ValueError(f"not downward closed: face {f} present but subface {f[:pos] + f[pos + 1 :]} missing")
             # One (row, sign) pair object per row and sign, shared by every
             # column holding it; zip(*[it] * m) deals them out in columns of m.
             signed = {sign: [(row, sign) for row in range(len(below))] for sign in (1, -1)}
@@ -221,16 +219,6 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
         matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(layer), columns=columns))
         below = indexes.pop()
     return matrices
-
-
-def _missing_subface(layer: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int]) -> ValueError:
-    """The error naming the first face with a subface not in index, leaving out its first vertex first."""
-    for f in layer:
-        for pos in range(len(f)):
-            sub = f[:pos] + f[pos + 1 :]
-            if sub not in index:
-                return ValueError(f"not downward closed: face {f} present but subface {sub} missing")
-    raise AssertionError("every subface is present")
 
 
 def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
@@ -285,8 +273,6 @@ def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:
 def betti_numbers(matrices: Sequence[BoundaryMatrix], prime: int) -> list[int]:
     """Reduced Betti numbers in dimensions 0..d over GF(prime)."""
     require_prime(prime)
-    if not matrices:
-        return []
     if not composition_vanishes(matrices):
         raise RuntimeError("internal error: boundary composition does not vanish")
     return _betti(matrices, partial(_pivot_rows, p=prime))
@@ -340,8 +326,7 @@ class ConcentrationReport:
     betti_by_prime: dict[int, tuple[int, ...]]
     ok: bool
     mismatches: tuple[str, ...]
-    torsion_free: bool  # the integer reduction decided, so betti_by_prime holds for every field
-    note = FIELD_SAMPLING_NOTE  # a class constant; it applies when torsion_free is false
+    torsion_free: bool  # the integers decided: betti_by_prime holds over every field; if false, over its primes only
 
 
 def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> ConcentrationReport:

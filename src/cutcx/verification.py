@@ -45,6 +45,7 @@ REFERENCE_TABLE: dict[tuple[int, int], int] = {
 }
 
 SCOPES = ("profile", "fvector", "homology", "recurrence", "genfun", "hilbert", "all")
+SEED_N_MAX = 9  # the largest n of the seed check's homology suite, printed as its n_max
 
 
 @dataclass(frozen=True)
@@ -233,5 +234,5 @@ def seed_jobs(primes: tuple[int, ...] = (2, 3)) -> list[Job]:
     return [
         TABLE_JOB,
         *((f"seed recurrence r={r}", partial(check_recurrence, r, r + 10)) for r in range(3, 6)),
-        *homology_jobs(9, primes),
+        *homology_jobs(SEED_N_MAX, primes),
     ]

@@ -591,7 +591,23 @@ FAILURE_GOLDENS = [
      HILBERT_SUMMARY),
     (formulas, "beta_closed", (13, 16), plus_one, SEED_ARGV, SEED_NAMES,
      "seed recurrence r=3", "k=13 (closed) -> 1", SEED_SUMMARY),
+    (verification, "diagonal_genfun", (4,),
+     lambda gf: RationalGenFun(numerator=gf.numerator + Polynomial([1]), pole_order=gf.pole_order),
+     ("--scope", "genfun"), GENFUN_NAMES,
+     "genfun r=4 terms<=50", "k=0 coefficient 1 != 0; k=1: 4 != 0; k=2: 10 != 0",
+     "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"),
+    (verification, "beta_closed", (3, 8), plus_one, HILBERT_ARGV, hilbert_names(5),
+     "hilbert closed n=8", "k=3: h_5 = 6 != 7", HILBERT_SUMMARY),
 ]
+
+
+def golden_ids(rows) -> list[str]:
+    """Each row's failing check kind, e.g. "hilbert closed"; a kind's later rows add their first witness."""
+    ids: list[str] = []
+    for *_, failing, detail, _ in rows:
+        kind = failing.split("=")[0].rsplit(" ", 1)[0]
+        ids.append(f"{kind}: {detail.split('; ')[0]}" if kind in ids else kind)
+    return ids
 
 
 class TestVerify:
@@ -626,6 +642,8 @@ class TestVerify:
         assert err.startswith("error:")
         code, _, err = run(capsys, "verify", "--seed-check", "--primes", "")
         assert code == 2
+        code, out, err = run(capsys, "verify", "--seed-check", "--primes", "2,x")
+        assert (code, out, err) == (2, "", "error: --primes expects comma-separated integers, got '2,x'\n")
 
     def test_oversized_n_max_is_capacity_error(self, capsys):
         code, _, err = run(capsys, "verify", "--scope", "profile", "--n-max", "30")
@@ -661,7 +679,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "module, attr, at, spoil, argv, names, failing, detail, summary", FAILURE_GOLDENS,
-        ids=[failing.split("=")[0].rsplit(" ", 1)[0] for *_, failing, _, _ in FAILURE_GOLDENS],
+        ids=golden_ids(FAILURE_GOLDENS),
     )
     def test_failure_golden(self, capsys, monkeypatch, module, attr, at, spoil, argv, names, failing, detail, summary):
         monkeypatch.setattr(module, attr, wrong_at(getattr(module, attr), at, spoil))

@@ -44,6 +44,10 @@ class TestDisconnectedSets:
     def test_void_when_graph_complete(self):
         assert disconnected_k_sets(complete_graph(5), 2) == []
 
+    def test_k_below_two_refused(self):
+        with pytest.raises(ValueError, match="need 2 <= k <= n, got k=1"):
+            disconnected_k_sets(squared_path(5), 1)
+
 
 class TestIsFace:
     def test_examples(self):
@@ -203,6 +207,10 @@ class TestFacesByDimension:
     def test_no_vertices_cases(self):
         assert faces_by_dimension(complete_graph(4), 2) == []
         assert faces_by_dimension(Graph(4, []), 4) == []
+
+    def test_k_below_two_refused(self):
+        with pytest.raises(ValueError, match="need 2 <= k <= n, got k=1"):
+            faces_by_dimension(squared_path(5), 1)
 
     def test_bad_set_cap(self, monkeypatch):
         # K_10 with k = 2: every set of size >= 2 is bad, C(10, 5) = 252 of them at size 5.

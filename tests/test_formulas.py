@@ -136,6 +136,8 @@ class TestDiagonalPolynomials:
     def test_range_error(self):
         with pytest.raises(ValueError):
             diagonal_poly(2)
+        with pytest.raises(ValueError, match="need r >= 3, got r=2"):
+            leading_coefficient(2)
 
 
 class TestRecurrence:
@@ -187,6 +189,10 @@ class TestSharpness:
         # Order-3 difference of the r=4 row at k=6: 50 - 3*26 + 3*11 - 3 = 2.
         assert 50 - 3 * 26 + 3 * 11 - 3 == 2
         assert sharp_difference(4) == 2
+
+    def test_range_error(self):
+        with pytest.raises(ValueError, match="need r >= 3, got r=2"):
+            sharp_difference(2)
 
     def test_one_fewer_difference_never_kills(self):
         for r in range(3, 10):

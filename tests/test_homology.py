@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import cutcx.homology
 from cutcx import (
-    FIELD_SAMPLING_NOTE,
     HOMOLOGY_LIMIT,
     BoundaryMatrix,
     CapacityError,
@@ -395,7 +394,7 @@ class TestConcentrationReport:
         assert report.expected_top == 3
         assert report.mismatches == ()
         assert report.betti_by_prime == {2: (0, 0, 3), 3: (0, 0, 3)}
-        assert report.note == FIELD_SAMPLING_NOTE
+        assert report.torsion_free
 
     def test_gf3_reaches_n14(self):
         # A cost guard as well as a value check: a dense GF(3) elimination
@@ -599,6 +598,23 @@ class TestIntegralBetti:
         assert cutcx.homology._unit_pivot_rows(columns_of([[1, 1], [1, -1]])) is None
         # det = 1, with a first pivot that leads with -1 and is stored negated.
         assert cutcx.homology._unit_pivot_rows(columns_of([[1, 0], [-1, 1]])) == {0, 1}
+
+    @staticmethod
+    def one_column(*entries):
+        return [BoundaryMatrix(dim=0, nrows=2, ncols=1, columns=(entries,))]
+
+    def test_a_row_listed_twice_is_undecided(self):
+        # Row 0 listed twice holds 2: GF(2) sees a zero column, GF(3) a unit.
+        twice = self.one_column((0, 1), (0, 1))
+        assert integral_betti(twice) is None
+        assert betti_numbers(twice, 2) == [1]
+        assert betti_numbers(twice, 3) == [0]
+        # Listed with opposite signs, the row holds 0; the integers still refuse it.
+        assert integral_betti(self.one_column((0, 1), (0, -1))) is None
+
+    def test_a_zero_entry_is_skipped(self):
+        assert integral_betti(self.one_column((0, 1), (1, 0))) == [0]
+        assert integral_betti(self.one_column((0, 1))) == [0]
 
     def test_checks_boundary_composition(self):
         assert integral_betti([]) == []
