@@ -3,8 +3,9 @@
 The k-cut complex of a graph on 1..n has one facet per disconnected
 k-subset, namely its complement.  For squared paths every classical
 invariant collapses to a closed form; this package computes those forms
-exactly and cross-checks them against brute-force enumeration and a
-finite-field homology oracle at small scale.
+exactly and cross-checks them at small scale against brute-force
+enumeration and a homology oracle: an integer unit-pivot certificate that
+falls back to GF(p) ranks when it is undecided.
 """
 
 from .complements import (

@@ -147,8 +147,6 @@ def sharp_difference(r: int) -> int:
 
     Nonzero (it equals r-2), which makes order r sharp for the recurrence.
     """
-    if r < 3:
-        raise ValueError(f"need r >= 3, got r={r}")
     p = backward_difference(diagonal_poly(r), r - 1)
     if p.degree > 0:
         raise RuntimeError(f"internal error: order {r - 1} difference is not constant: {p!r}")
@@ -218,7 +216,7 @@ class BettiTable:
     def __post_init__(self):
         for (k, r), v in self.entries.items():
             if v < 0:
-                raise ValueError(f"negative entry at k={k}, r={r}")
+                raise RuntimeError(f"internal error: negative entry at k={k}, r={r}")
 
     def value(self, k: int, r: int) -> int:
         return self.entries[(k, r)]

@@ -61,16 +61,12 @@ class Graph:
 
 def squared_path(n: int) -> Graph:
     """The squared path: vertices 1..n, edges between labels at distance 1 or 2."""
-    if n < 1:
-        raise ValueError("vertex count must be positive")
     edges = [(i, i + 1) for i in range(1, n)] + [(i, i + 2) for i in range(1, n - 1)]
     return Graph(n, edges)
 
 
 def complete_graph(n: int) -> Graph:
     """The complete graph on 1..n."""
-    if n < 1:
-        raise ValueError("vertex count must be positive")
     return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
@@ -89,18 +85,14 @@ def is_squared_path(graph: Graph) -> bool:
     )
 
 
-def _validated(graph: Graph, subset: Iterable[int]) -> tuple[int, ...]:
+def is_connected_induced(graph: Graph, subset: Iterable[int]) -> bool:
+    """Connectivity of the induced subgraph on a nonempty vertex set, by search."""
     s = canonical_vertex_set(subset)
     if not s:
         raise ValueError("vertex set must be nonempty")
     if s[0] < 1 or s[-1] > graph.n:
         raise ValueError(f"vertex set {s} leaves the range 1..{graph.n}")
-    return s
-
-
-def is_connected_induced(graph: Graph, subset: Iterable[int]) -> bool:
-    """Connectivity of the induced subgraph on a nonempty vertex set, by search."""
-    return _connected_by_search(graph, _validated(graph, subset))
+    return _connected_by_search(graph, s)
 
 
 def _connected_by_search(graph: Graph, s: tuple[int, ...]) -> bool:

@@ -180,35 +180,25 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
     them, which leaves out the last vertex first: the j-th one leaves out
     position d-j and gets the sign (-1)^(d-j).
     """
-    layers: list[list[tuple[int, ...]]] = []
-    indexes: list[dict[tuple[int, ...], int]] = []
-    for d, layer in enumerate(faces_by_dim):
+    layers = list(faces_by_dim)
+    while layers and not layers[-1]:
+        layers.pop()
+    matrices: list[BoundaryMatrix] = []
+    below: dict[tuple[int, ...], int] = {}
+    for d, layer in enumerate(layers):
         faces = list(map(tuple, layer))
+        if not faces:
+            raise ValueError(f"dimension {d} is empty below a populated dimension")
         for t in faces:
             if len(t) != d + 1 or not all(map(lt, t, t[1:])):
                 raise ValueError(f"dimension {d} face {t!r} is not a strictly increasing {d + 1}-tuple")
-        index = dict(zip(faces, count()))
-        if len(index) != len(faces):
-            raise ValueError(f"duplicate faces in dimension {d}")
-        layers.append(faces)
-        indexes.append(index)
-    while layers and not layers[-1]:
-        layers.pop()
-    if not layers:
-        return []
-    matrices: list[BoundaryMatrix] = []
-    indexes.reverse()  # popped bottom up, so each index goes once the layer above has used it
-    below: dict[tuple[int, ...], int] = {}
-    for d, layer in enumerate(layers):
-        if not layer:
-            raise ValueError(f"dimension {d} is empty below a populated dimension")
         if d == 0:
-            columns = (((0, 1),),) * len(layer)
+            columns = (((0, 1),),) * len(faces)
         else:
-            rows = list(map(below.get, chain.from_iterable(map(combinations, layer, repeat(d)))))
+            rows = list(map(below.get, chain.from_iterable(map(combinations, faces, repeat(d)))))
             if None in rows:
                 i, j = divmod(rows.index(None), d + 1)
-                f, pos = layer[i], d - j
+                f, pos = faces[i], d - j
                 raise ValueError(f"not downward closed: face {f} present but subface {f[:pos] + f[pos + 1 :]} missing")
             # One (row, sign) pair object per row and sign, shared by every
             # column holding it; zip(*[it] * m) deals them out in columns of m.
@@ -216,8 +206,11 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
             pairs = map(getitem, cycle([signed[(-1) ** (d - j)] for j in range(d + 1)]), rows)
             columns = tuple(zip(*[pairs] * (d + 1)))
         nrows = 1 if d == 0 else len(below)
-        matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(layer), columns=columns))
-        below = indexes.pop()
+        matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(faces), columns=columns))
+        # This layer's index serves as the rows of the next boundary, so at most two are alive.
+        below = dict(zip(faces, count()))
+        if len(below) != len(faces):
+            raise ValueError(f"duplicate faces in dimension {d}")
     return matrices
 
 

@@ -39,12 +39,12 @@ def _norm(c: Scalar) -> Scalar:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
-def _taylor_shift(a: Iterable[Scalar], c: Scalar) -> list[Scalar]:
-    """Coefficients of p(x + c) from those of p(x), lowest degree first: O(d^2) steps a_j += c a_(j+1)."""
+def _taylor_shift(a: Iterable[Scalar]) -> list[Scalar]:
+    """Coefficients of p(x - 1) from those of p(x), lowest degree first: O(d^2) steps a_j -= a_(j+1)."""
     a = list(a)
     for i in range(len(a) - 1):
         for j in range(len(a) - 2, i - 1, -1):
-            a[j] += c * a[j + 1]
+            a[j] -= a[j + 1]
     return a
 
 
@@ -84,11 +84,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return self._den == 1
 
     def coefficient(self, d: int) -> Scalar:
         if 0 <= d < len(self.coeffs):
@@ -202,7 +197,7 @@ def backward_difference(p: Polynomial, s: int = 1) -> Polynomial:
         raise ValueError("order must be nonnegative")
     a = p._numerators
     for _ in range(min(s, len(a))):  # each step cancels the top coefficient
-        a = [x - y for x, y in zip(a[:-1], _taylor_shift(a, -1))]
+        a = [x - y for x, y in zip(a[:-1], _taylor_shift(a))]
     return Polynomial(Fraction(x, p._den) for x in a)
 
 

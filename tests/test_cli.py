@@ -598,6 +598,8 @@ FAILURE_GOLDENS = [
      "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"),
     (verification, "beta_closed", (3, 8), plus_one, HILBERT_ARGV, hilbert_names(5),
      "hilbert closed n=8", "k=3: h_5 = 6 != 7", HILBERT_SUMMARY),
+    (formulas, "beta_closed", (3, 9), lambda v: -5, SEED_ARGV, SEED_NAMES,
+     TABLE_NAME, "internal error: negative entry at k=3, r=6", SEED_SUMMARY),
 ]
 
 
@@ -762,6 +764,12 @@ class TestInternalErrors:
                             lambda c, k, conn: c != (2, 3, 4, 5, 6) and bad_set_test(c, k, conn))
         err = "error: internal error: constructed nonface complement (2, 3, 4, 5, 6) is not bad for k=4, n=7\n"
         assert run(capsys, "enum", "layers", "4", "7", "--format", fmt) == (1, "", err)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_table_negative_entry(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(formulas, "beta_closed", wrong_at(formulas.beta_closed, (3, 9), lambda v: -5))
+        err = "error: internal error: negative entry at k=3, r=6\n"
+        assert run(capsys, "table", "--format", fmt) == (1, "", err)
 
 
 class TestParser:

@@ -133,7 +133,7 @@ class TestClosedEnumerator:
                 assert list(fv.counts) == face_enumerator_closed(k, n).coeff_list(), (k, n)
 
     def test_integer_coefficients(self):
-        assert face_enumerator_closed(6, 13).is_integral
+        assert all(type(c) is int for c in face_enumerator_closed(6, 13).coeffs)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

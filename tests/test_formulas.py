@@ -210,7 +210,7 @@ class TestGeneratingFunctions:
         for r in range(3, 9):
             gf = diagonal_genfun(r)
             assert gf.is_canonical
-            assert gf.numerator.is_integral
+            assert all(type(c) is int for c in gf.numerator.coeffs)
             assert gf.pole_order == r
 
     def test_series_matches_diagonal_polynomial(self):
@@ -425,5 +425,5 @@ class TestBettiTable:
         assert grid == "r\\k  3   4\n3    1   3\n4    3  11"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError, match="^internal error: negative entry at k=3, r=3$"):
             BettiTable(entries={(3, 3): -1})

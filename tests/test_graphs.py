@@ -48,8 +48,9 @@ class TestConstruction:
                     assert u in g.adj[v]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            squared_path(0)
+        for build in (squared_path, complete_graph):
+            with pytest.raises(ValueError, match="^vertex count must be positive$"):
+                build(0)
         with pytest.raises(ValueError):
             Graph(3, [(1, 4)])
         with pytest.raises(ValueError):
