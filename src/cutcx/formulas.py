@@ -126,11 +126,9 @@ def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     window) and, separately labelled, on the polynomial extension at
     3 <= k <= r+2 where beta_closed's own range runs out ("extension").
     """
-    if r < 3:
-        raise ValueError(f"need r >= 3, got r={r}")
+    poly = diagonal_poly(r)  # refuses r < 3
     if k_max < r + 3:
         raise ValueError(f"need k_max >= r+3, got k_max={k_max}, r={r}")
-    poly = diagonal_poly(r)
     symbolic_zero = backward_difference(poly, r).is_zero
     entries: list[RecurrenceEntry] = []
     for k in range(3, r + 3):
@@ -165,8 +163,7 @@ def diagonal_genfun(r: int) -> RationalGenFun:
     theorem.  It is then re-verified against the diagonal polynomial through
     50 series terms before being returned.
     """
-    if r < 3:
-        raise ValueError(f"need r >= 3, got r={r}")
+    poly = diagonal_poly(r)  # refuses r < 3
     coeffs = [0] + [1] * r
     # (c, s, e) stands for c x^s (1-x)^e, whose x^(s+i) coefficient is c (-1)^i C(e, i).
     terms = [(r, 1, r - 1)] + [(-(r - j + 1), j + 1, r - j - 1) for j in range(r)]
@@ -176,7 +173,6 @@ def diagonal_genfun(r: int) -> RationalGenFun:
     gf = RationalGenFun(numerator=Polynomial(coeffs), pole_order=r)
     if not gf.is_canonical:
         raise RuntimeError("internal error: generating function numerator shares a (1-x) factor")
-    poly = diagonal_poly(r)
     series = gf.series(51)
     if series[0] != 0 or any(series[k] != poly(k) for k in range(1, 51)):
         raise RuntimeError(f"internal error: series of {gf!r} disagrees with the diagonal polynomial")

@@ -7,7 +7,7 @@ package; any iterable of vertices is accepted on input and canonicalized.
 from __future__ import annotations
 
 from operator import contains
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Exhaustive powerset-style enumerations are refused above this vertex count.
 FULL_SCAN_LIMIT = 24

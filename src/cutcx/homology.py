@@ -66,11 +66,10 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
     Sparse column reduction: each column, held as a dict row -> residue,
     is reduced by the pivot column that owns its largest row until it
     vanishes or its largest row is new; a new pivot is kept under that
-    row, scaled to a leading 1 unless it has one already (always so over
-    GF(2)).  Keying by the largest row keeps fill-in low on boundary
-    matrices with lexicographically listed faces: keyed by the smallest
-    row, GF(3) ranks at k=6, n=14 cost about ten times more.  The
-    caller has checked that p is prime.
+    row, scaled to a leading 1.  Keying by the largest row keeps fill-in
+    low on boundary matrices with lexicographically listed faces: keyed by
+    the smallest row, GF(3) ranks at k=6, n=14 cost about ten times more.
+    The caller has checked that p is prime.
     """
     pivots: dict[int, dict[int, int]] = {}
     for entries in columns:
@@ -85,12 +84,8 @@ def _pivot_rows(columns: Iterable[Iterable[tuple[int, int]]], p: int) -> set[int
             low = max(col)
             pivot = pivots.get(low)
             if pivot is None:
-                lead = col[low]
-                if lead == 1:
-                    pivots[low] = col
-                else:
-                    scale = pow(lead, -1, p)
-                    pivots[low] = {i: c * scale % p for i, c in col.items()}
+                scale = pow(col[low], -1, p)
+                pivots[low] = {i: c * scale % p for i, c in col.items()}
                 break
             factor = col[low]
             for i, a in pivot.items():
@@ -173,8 +168,9 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
     """Boundary matrices of the augmented complex from faces grouped by dimension.
 
     faces_by_dim[d] lists the d-dimensional faces (cardinality d+1) as
-    strictly increasing vertex tuples; the empty face is implicit.  Input
-    must be downward closed; a missing subface is reported as the witness.
+    strictly increasing vertex tuples; the empty face is implicit, the one
+    (-1)-face below the vertices.  Input must be downward closed; a missing
+    subface is reported as the witness.
 
     A d-face's subfaces are looked up in the order combinations() lists
     them, which leaves out the last vertex first: the j-th one leaves out
@@ -184,7 +180,7 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
     while layers and not layers[-1]:
         layers.pop()
     matrices: list[BoundaryMatrix] = []
-    below: dict[tuple[int, ...], int] = {}
+    below: dict[tuple[int, ...], int] = {(): 0}
     for d, layer in enumerate(layers):
         faces = list(map(tuple, layer))
         if not faces:
@@ -192,21 +188,17 @@ def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> li
         for t in faces:
             if len(t) != d + 1 or not all(map(lt, t, t[1:])):
                 raise ValueError(f"dimension {d} face {t!r} is not a strictly increasing {d + 1}-tuple")
-        if d == 0:
-            columns = (((0, 1),),) * len(faces)
-        else:
-            rows = list(map(below.get, chain.from_iterable(map(combinations, faces, repeat(d)))))
-            if None in rows:
-                i, j = divmod(rows.index(None), d + 1)
-                f, pos = faces[i], d - j
-                raise ValueError(f"not downward closed: face {f} present but subface {f[:pos] + f[pos + 1 :]} missing")
-            # One (row, sign) pair object per row and sign, shared by every
-            # column holding it; zip(*[it] * m) deals them out in columns of m.
-            signed = {sign: [(row, sign) for row in range(len(below))] for sign in (1, -1)}
-            pairs = map(getitem, cycle([signed[(-1) ** (d - j)] for j in range(d + 1)]), rows)
-            columns = tuple(zip(*[pairs] * (d + 1)))
-        nrows = 1 if d == 0 else len(below)
-        matrices.append(BoundaryMatrix(dim=d, nrows=nrows, ncols=len(faces), columns=columns))
+        rows = list(map(below.get, chain.from_iterable(map(combinations, faces, repeat(d)))))
+        if None in rows:
+            i, j = divmod(rows.index(None), d + 1)
+            f, pos = faces[i], d - j
+            raise ValueError(f"not downward closed: face {f} present but subface {f[:pos] + f[pos + 1 :]} missing")
+        # One (row, sign) pair object per row and sign, shared by every
+        # column holding it; zip(*[it] * m) deals them out in columns of m.
+        signed = {sign: [(row, sign) for row in range(len(below))] for sign in (1, -1)}
+        pairs = map(getitem, cycle([signed[(-1) ** (d - j)] for j in range(d + 1)]), rows)
+        columns = tuple(zip(*[pairs] * (d + 1)))
+        matrices.append(BoundaryMatrix(dim=d, nrows=len(below), ncols=len(faces), columns=columns))
         # This layer's index serves as the rows of the next boundary, so at most two are alive.
         below = dict(zip(faces, count()))
         if len(below) != len(faces):
@@ -330,15 +322,13 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
     answers every prime when it decides; otherwise each prime gets its own
     reduction.  A mismatch is reported, never silently passed.
     """
-    if k < 2 or n < k + 2:
-        raise ValueError(f"need k >= 2 and n >= k+2, got k={k}, n={n}")
+    expected_top = beta_closed(k, n)  # refuses k < 2 or n < k+2
     if n > HOMOLOGY_LIMIT:
         raise CapacityError(f"homology check at n={n} exceeds the supported limit n <= {HOMOLOGY_LIMIT}")
     prime_list = sorted(set(map(require_prime, primes)))
     if not prime_list:
         raise ValueError("at least one prime is required")
     r = n - k
-    expected_top = beta_closed(k, n)
     expected = tuple([0] * (r - 1) + [expected_top])
     matrices = build_chain_complex(faces_by_dimension(squared_path(n), k))
     integral = integral_betti(matrices)

@@ -63,15 +63,18 @@ Job = tuple[str, Callable[[], list[str]]]
 def run_jobs(jobs: Sequence[Job], _workers: object = None) -> list[CheckResult]:
     """Run named checks in order; a check passes when it returns no witnesses.
 
-    A RuntimeError is a closed form failing its own post-check, so it fails
-    that check with its message as witness and the later checks still run.
+    A RuntimeError is a closed form failing its own post-check, and a
+    ValueError an oracle refusing its own input, since every argument has
+    been refused before any check runs; either fails that check with its
+    message as witness, and the later checks still run.  A CapacityError
+    ends the run.
     """
     # _workers is ignored: bench/tracer.py's run_jobs wrapper still passes a worker count.
     results = []
     for name, thunk in jobs:
         try:
             bad = thunk()
-        except RuntimeError as exc:
+        except (RuntimeError, ValueError) as exc:
             bad = [str(exc)]
         results.append(CheckResult(name, not bad, "; ".join(bad)))
     return results
@@ -190,7 +193,7 @@ def homology_jobs(n_max: int, primes: tuple[int, ...]) -> list[Job]:
         *((f"homology k={k} n={n}", partial(check_homology, k, n, primes))
           for n in range(5, n_max + 1) for k in range(2, n - 2)),
         *((f"vanishing k={k} n={k + 2}", partial(check_vanishing, k, primes))
-          for k in range(2, max(2, n_max - 2) + 1)),
+          for k in range(2, n_max - 1)),
     ]
 
 

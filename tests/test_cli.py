@@ -701,13 +701,46 @@ class TestVerify:
         assert (code, err) == (1, "")
         assert out == "\n".join([*lines, "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"]) + "\n"
 
-    @pytest.mark.parametrize("error, code", [(ValueError, 2), (CapacityError, 3)])
-    def test_usage_and_capacity_errors_in_a_check_end_the_run(self, capsys, monkeypatch, error, code):
+    def test_value_error_in_a_check_is_a_fail_line(self, capsys, monkeypatch):
+        # Every argument is refused before any check runs, so a ValueError inside one is an
+        # oracle or closed form refusing its own input: that check fails and the run goes on.
+        genfun = verification.diagonal_genfun
+
+        def refuse_at_four(r):
+            if r == 4:
+                raise ValueError("refused")
+            return genfun(r)
+
+        monkeypatch.setattr(verification, "diagonal_genfun", refuse_at_four)
+        code, out, err = run(capsys, "verify", "--scope", "genfun", "--no-timing")
+        lines = [f"FAIL {name}: refused" if name == "genfun r=4 terms<=50" else f"PASS {name}" for name in GENFUN_NAMES]
+        assert (code, err) == (1, "")
+        assert out == "\n".join([*lines, "checks=6 passed=5 failed=1 scope=genfun n_max=10 primes=2,3"]) + "\n"
+
+    def test_oracle_input_fault_in_a_check_is_a_fail_line(self, capsys, monkeypatch):
+        # faces_by_dimension drops the vertex (1,) at (k, n) = (3, 7); the chain build's
+        # downward-closure check names the witness in that check's FAIL line.
+        faces = homology.faces_by_dimension
+
+        def drop_vertex_one(graph, k):
+            layers = faces(graph, k)
+            return [layers[0][1:], *layers[1:]] if (k, graph.n) == (3, 7) else layers
+
+        monkeypatch.setattr(homology, "faces_by_dimension", drop_vertex_one)
+        code, out, err = run(capsys, "verify", "--scope", "homology", "--n-max", "8", "--no-timing")
+        detail = "not downward closed: face (1, 2) present but subface (1,) missing"
+        names = homology_names(8)
+        lines = [f"FAIL {name}: {detail}" if name == "homology k=3 n=7" else f"PASS {name}" for name in names]
+        summary = f"checks={len(names)} passed={len(names) - 1} failed=1 scope=homology n_max=8 primes=2,3"
+        assert (code, err) == (1, "")
+        assert out == "\n".join([*lines, summary]) + "\n"
+
+    def test_capacity_error_in_a_check_ends_the_run(self, capsys, monkeypatch):
         def refuse(r):
-            raise error("refused")
+            raise CapacityError("refused")
 
         monkeypatch.setattr(verification, "diagonal_genfun", refuse)
-        assert run(capsys, "verify", "--scope", "genfun", "--no-timing") == (code, "", "error: refused\n")
+        assert run(capsys, "verify", "--scope", "genfun", "--no-timing") == (3, "", "error: refused\n")
 
     def test_check_names_in_order(self):
         assert len(ALL_NAMES_10) == 180

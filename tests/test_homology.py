@@ -161,6 +161,45 @@ class TestRanks:
                         assert m.rank(p) == dense_rank(rows, p), (k, n, m.dim, p)
 
 
+FAULT_COMPLEXES = {
+    "P6^2 k=3": faces_by_dimension(squared_path(6), 3),
+    "tetrahedron boundary": [list(combinations(range(1, 5), m)) for m in (1, 2, 3)],
+}
+# One fault planted at position i of layer d.
+PLANT = {
+    "drop": lambda layer, i: layer[:i] + layer[i + 1 :],
+    "duplicate": lambda layer, i: layer[: i + 1] + layer[i:],
+    "reverse": lambda layer, i: layer[:i] + [layer[i][::-1]] + layer[i + 1 :],
+    "lengthen": lambda layer, i: layer[:i] + [layer[i] + (9,)] + layer[i + 1 :],
+    "empty": lambda layer, i: [],
+}
+# (complex, fault, d, i, the build's error text).  The texts are frozen:
+# the vertex layer is checked by the same code as every other layer, and
+# must name the same witnesses.
+BUILD_FAULTS = [
+    ("P6^2 k=3", "drop", 0, 0, "not downward closed: face (1, 3) present but subface (1,) missing"),
+    ("P6^2 k=3", "drop", 1, -1, "not downward closed: face (3, 4, 6) present but subface (4, 6) missing"),
+    ("P6^2 k=3", "duplicate", 0, -1, "duplicate faces in dimension 0"),
+    ("P6^2 k=3", "duplicate", 2, 0, "duplicate faces in dimension 2"),
+    ("P6^2 k=3", "reverse", 1, 0, "dimension 1 face (3, 1) is not a strictly increasing 2-tuple"),
+    ("P6^2 k=3", "reverse", 2, -1, "dimension 2 face (6, 4, 3) is not a strictly increasing 3-tuple"),
+    ("P6^2 k=3", "lengthen", 0, 0, "dimension 0 face (1, 9) is not a strictly increasing 1-tuple"),
+    ("P6^2 k=3", "lengthen", 2, -1, "dimension 2 face (3, 4, 6, 9) is not a strictly increasing 3-tuple"),
+    ("P6^2 k=3", "empty", 0, 0, "dimension 0 is empty below a populated dimension"),
+    ("P6^2 k=3", "empty", 1, 0, "dimension 1 is empty below a populated dimension"),
+    ("tetrahedron boundary", "drop", 0, -1, "not downward closed: face (1, 4) present but subface (4,) missing"),
+    ("tetrahedron boundary", "drop", 1, 0, "not downward closed: face (1, 2, 3) present but subface (1, 2) missing"),
+    ("tetrahedron boundary", "duplicate", 0, 0, "duplicate faces in dimension 0"),
+    ("tetrahedron boundary", "duplicate", 1, -1, "duplicate faces in dimension 1"),
+    ("tetrahedron boundary", "reverse", 1, -1, "dimension 1 face (4, 3) is not a strictly increasing 2-tuple"),
+    ("tetrahedron boundary", "reverse", 2, 0, "dimension 2 face (3, 2, 1) is not a strictly increasing 3-tuple"),
+    ("tetrahedron boundary", "lengthen", 0, -1, "dimension 0 face (4, 9) is not a strictly increasing 1-tuple"),
+    ("tetrahedron boundary", "lengthen", 1, 0, "dimension 1 face (1, 2, 9) is not a strictly increasing 2-tuple"),
+    ("tetrahedron boundary", "empty", 0, 0, "dimension 0 is empty below a populated dimension"),
+    ("tetrahedron boundary", "empty", 1, 0, "dimension 1 is empty below a populated dimension"),
+]
+
+
 class TestChainComplexBuild:
     def test_single_point(self):
         matrices = build_chain_complex([[(1,)]])
@@ -220,6 +259,20 @@ class TestChainComplexBuild:
     def test_empty_input(self):
         assert build_chain_complex([]) == []
         assert betti_numbers([], 2) == []
+
+    @pytest.mark.parametrize("name, fault, d, i, text", BUILD_FAULTS)
+    def test_planted_fault_names_its_witness(self, name, fault, d, i, text):
+        layers = [list(layer) for layer in FAULT_COMPLEXES[name]]
+        layers[d] = PLANT[fault](layers[d], i % len(layers[d]))
+        with pytest.raises(ValueError) as exc:
+            build_chain_complex(layers)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("name", FAULT_COMPLEXES)
+    def test_empty_face_is_the_one_row_below_the_vertices(self, name):
+        vertices = build_chain_complex(FAULT_COMPLEXES[name])[0]
+        assert vertices.nrows == 1
+        assert vertices.columns == (((0, 1),),) * vertices.ncols
 
     def test_column_entry_counts(self):
         for m in complex_for(4, 7):

@@ -1,9 +1,10 @@
 """Module coupling pinned by parsing the source.
 
 The closed formulas in `formulas.py` must not import the face-scan or
-homology oracles that check them, and only `polynomials.py` may touch a
-polynomial's integer numerators and common denominator.  The tests read
-each module with `ast`, so they hold without importing anything.
+homology oracles that check them, only `polynomials.py` may touch a
+polynomial's integer numerators and common denominator, and no module
+imports a name it never reads but the benchmark tracer's shims.  The tests
+read each module with `ast`, so they hold without importing anything.
 """
 
 import ast
@@ -51,3 +52,31 @@ def test_only_polynomials_scales_to_a_common_denominator():
             elif isinstance(node, ast.ImportFrom):
                 names |= {a.name for a in node.names}
         assert names & private == set(), path.name
+
+
+# Imports that no code in their module reads: bench/tracer.py patches these
+# bindings by name, so each stays until the tracer stops wrapping it.
+TRACER_SHIMS = {
+    ("cli", "f_vector_bruteforce"),
+    ("complements", "gap_connected"),
+    ("complements", "is_connected_induced"),
+    ("complexes", "is_bad"),
+    ("verification", "is_face"),
+}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names that a module's import statements bind and no other line of it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {(path.stem, name) for path in SRC.glob("*.py") if path.name != "__init__.py" for name in unused_imports(path)}
+    assert unused <= TRACER_SHIMS, sorted(unused - TRACER_SHIMS)
