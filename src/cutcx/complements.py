@@ -10,12 +10,11 @@ consecutive labels, and nothing larger is bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, islice, repeat
 from math import comb
 from operator import mul
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import (
     CapacityError,
@@ -43,8 +42,7 @@ def connectivity_test(graph: Graph) -> Callable[[tuple[int, ...]], bool]:
     return _gaps_at_most_two if is_squared_path(graph) else partial(_connected_by_search, graph)
 
 
-@dataclass(frozen=True)
-class BadProfile:
+class BadProfile(NamedTuple):
     """Counts of k-bad sets by size m, for k <= m <= n."""
 
     k: int

@@ -9,10 +9,9 @@ exactly when its complement is bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, filterfalse
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .complements import BadProfile, _all_k_subsets_connected, bad_sets_by_size, connectivity_test
 from .complements import q_profile_bruteforce, z_count
@@ -21,8 +20,7 @@ from .graphs import Graph, canonical_vertex_set, require_full_scan_capacity, squ
 from .polynomials import Polynomial
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple):
     """Face counts of a k-cut complex, indexed by face cardinality.
 
     counts[p] is the number of faces with p vertices; counts[0] = 1 covers
@@ -63,8 +61,7 @@ class FVector:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NonfaceLayers:
+class NonfaceLayers(NamedTuple):
     """Minimal nonface families of the squared-path k-cut complex.
 
     level_rminus1 holds the cardinality r-1 nonfaces (complements of the

@@ -9,9 +9,9 @@ Stanley-Reisner ring.  Everything is exact; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .complements import z_count
 from .polynomials import Polynomial, RationalGenFun, backward_difference, binom
@@ -93,8 +93,7 @@ def leading_coefficient(r: int) -> Fraction:
     return Fraction(r - 2, factorial(r - 1))
 
 
-@dataclass(frozen=True)
-class RecurrenceEntry:
+class RecurrenceEntry(NamedTuple):
     """One evaluated instance of the order-r alternating recurrence."""
 
     k: int
@@ -103,8 +102,7 @@ class RecurrenceEntry:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
+class RecurrenceCheck(NamedTuple):
     """Certificate for the order-r recurrence: symbolic kill plus numeric instances."""
 
     r: int
@@ -126,9 +124,10 @@ def verify_recurrence(r: int, k_max: int) -> RecurrenceCheck:
     window) and, separately labelled, on the polynomial extension at
     3 <= k <= r+2 where beta_closed's own range runs out ("extension").
     """
-    poly = diagonal_poly(r)  # refuses r < 3
+    # Refused before diagonal_poly, whose own cost grows with r: seconds of CPU at r = 1000.
     if k_max < r + 3:
         raise ValueError(f"need k_max >= r+3, got k_max={k_max}, r={r}")
+    poly = diagonal_poly(r)  # refuses r < 3
     symbolic_zero = backward_difference(poly, r).is_zero
     entries: list[RecurrenceEntry] = []
     for k in range(3, r + 3):
@@ -202,17 +201,26 @@ def hilbert_series(k: int, n: int) -> RationalGenFun:
     return RationalGenFun(numerator=h_polynomial(k, n), pole_order=n - k)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class _BettiTableFields(NamedTuple):
+    entries: dict[tuple[int, int], int]
+
+
+class BettiTable(_BettiTableFields):
     """Grid of top Betti numbers indexed by (k, r), tagged with how it was computed."""
 
-    entries: dict[tuple[int, int], int]
+    __slots__ = ()
     provenance = "closed-form"  # a class constant: every table comes from beta_closed
 
-    def __post_init__(self):
-        for (k, r), v in self.entries.items():
+    def __new__(cls, entries: dict[tuple[int, int], int]) -> BettiTable:
+        for (k, r), v in entries.items():
             if v < 0:
                 raise RuntimeError(f"internal error: negative entry at k={k}, r={r}")
+        return super().__new__(cls, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> BettiTable:
+        # _replace builds its copy through _make, which would otherwise skip __new__'s check.
+        return cls(*iterable)
 
     def value(self, k: int, r: int) -> int:
         return self.entries[(k, r)]

@@ -16,11 +16,10 @@ which forces it over every field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, count, cycle, repeat
 from operator import getitem, lt
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .complexes import faces_by_dimension
 from .formulas import beta_closed
@@ -145,8 +144,7 @@ def _unit_pivot_rows(columns: Iterable[Collection[tuple[int, int]]]) -> set[int]
     return set(pivots)
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Signed boundary map from dimension dim to dim-1, stored by column.
 
     Each column lists (row index, sign) pairs; a column for a d-face has
@@ -300,8 +298,7 @@ def _betti(matrices: Sequence[BoundaryMatrix], pivot_rows: Callable[[Sequence], 
     return [m.ncols - ranks[i] - ranks[i + 1] for i, m in enumerate(matrices)]
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Outcome of checking that homology sits entirely in the top dimension."""
 
     k: int
@@ -322,9 +319,10 @@ def verify_concentration(k: int, n: int, primes: Iterable[int] = (2, 3)) -> Conc
     answers every prime when it decides; otherwise each prime gets its own
     reduction.  A mismatch is reported, never silently passed.
     """
-    expected_top = beta_closed(k, n)  # refuses k < 2 or n < k+2
+    # Refused before beta_closed, whose own cost grows with k: seconds of CPU at k in the thousands.
     if n > HOMOLOGY_LIMIT:
         raise CapacityError(f"homology check at n={n} exceeds the supported limit n <= {HOMOLOGY_LIMIT}")
+    expected_top = beta_closed(k, n)  # refuses k < 2 or n < k+2
     prime_list = sorted(set(map(require_prime, primes)))
     if not prime_list:
         raise ValueError("at least one prime is required")

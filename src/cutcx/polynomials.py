@@ -9,12 +9,11 @@ denominator, so evaluation and differences run in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -201,16 +200,25 @@ def backward_difference(p: Polynomial, s: int = 1) -> Polynomial:
     return Polynomial(Fraction(x, p._den) for x in a)
 
 
-@dataclass(frozen=True)
-class RationalGenFun:
-    """Generating function numerator(x) / (1-x)^pole_order with exact coefficients."""
-
+class _RationalGenFunFields(NamedTuple):
     numerator: Polynomial
     pole_order: int
 
-    def __post_init__(self):
-        if self.pole_order < 0:
+
+class RationalGenFun(_RationalGenFunFields):
+    """Generating function numerator(x) / (1-x)^pole_order with exact coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: Polynomial, pole_order: int) -> RationalGenFun:
+        if pole_order < 0:
             raise ValueError("pole order must be nonnegative")
+        return super().__new__(cls, numerator, pole_order)
+
+    @classmethod
+    def _make(cls, iterable) -> RationalGenFun:
+        # _replace builds its copy through _make, which would otherwise skip __new__'s check.
+        return cls(*iterable)
 
     @property
     def is_canonical(self) -> bool:

@@ -11,9 +11,8 @@ beta_closed and anchors the table check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .complements import q_profile_bruteforce, q_profile_closed
 from .complexes import f_vector_bruteforce, face_enumerator_closed, reduced_euler
@@ -48,8 +47,7 @@ SCOPES = ("profile", "fvector", "homology", "recurrence", "genfun", "hilbert", "
 SEED_N_MAX = 9  # the largest n of the seed check's homology suite, printed as its n_max
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named pass/fail verdict with a witness string on failure."""
 
     name: str

@@ -10,6 +10,7 @@ coefficient with unit constant term.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,13 @@ class TestRecurrence:
             verify_recurrence(3, 5)
         with pytest.raises(ValueError):
             verify_recurrence(2, 10)
+
+    def test_k_max_refused_before_the_diagonal_is_built(self):
+        # diagonal_poly(1000) alone takes about 5 s of CPU (2-vCPU VM, Python 3.11).
+        start = time.process_time()
+        with pytest.raises(ValueError, match="^need k_max >= r\\+3, got k_max=5, r=1000$"):
+            verify_recurrence(1000, 5)
+        assert time.process_time() - start < 0.5
 
 
 class TestSharpness:

@@ -7,7 +7,7 @@ this module existed, so agreement is evidence, not circularity.
 
 import random
 import re
-from dataclasses import replace
+import time
 from itertools import combinations
 
 import pytest
@@ -340,7 +340,7 @@ class TestComposition:
                 row, sign = col[e]
                 col[e] = (row, -sign)
                 columns = d2.columns[:j] + (tuple(col),) + d2.columns[j + 1 :]
-                broken = [*matrices[:2], replace(d2, columns=columns), *matrices[3:]]
+                broken = [*matrices[:2], d2._replace(columns=columns), *matrices[3:]]
                 assert not composition_vanishes(broken), (j, e)
                 assert not reference_vanishes(broken), (j, e)
 
@@ -349,10 +349,10 @@ class TestComposition:
         # rewritten so that dd = 0 still holds, and on perturbed ones.
         matrices = complex_for(3, 6)
         low, high = matrices[1], matrices[2]
-        doubled = replace(high, columns=tuple(tuple((i, 2 * s) for i, s in col) for col in high.columns))
-        repeated = replace(low, columns=tuple(((i, 2 * s), (i, -s), *rest) for (i, s), *rest in low.columns))
-        zeroed = replace(high, columns=tuple((*col, (col[0][0], 0)) for col in high.columns))
-        tripled_low = replace(low, columns=tuple(tuple((i, 3 * s) for i, s in col) for col in low.columns))
+        doubled = high._replace(columns=tuple(tuple((i, 2 * s) for i, s in col) for col in high.columns))
+        repeated = low._replace(columns=tuple(((i, 2 * s), (i, -s), *rest) for (i, s), *rest in low.columns))
+        zeroed = high._replace(columns=tuple((*col, (col[0][0], 0)) for col in high.columns))
+        tripled_low = low._replace(columns=tuple(tuple((i, 3 * s) for i, s in col) for col in low.columns))
         cases = [
             [low, doubled],
             [repeated, high],
@@ -373,7 +373,7 @@ class TestComposition:
                 col = list(b.columns[j])
                 e = rng.randrange(len(col))
                 col[e] = (col[e][0], col[e][1] + rng.choice((-2, -1, 1, 2)))
-                bumped = [a, replace(b, columns=b.columns[:j] + (tuple(col),) + b.columns[j + 1 :])]
+                bumped = [a, b._replace(columns=b.columns[:j] + (tuple(col),) + b.columns[j + 1 :])]
                 assert composition_vanishes(bumped) == reference_vanishes(bumped), bumped
 
 
@@ -496,6 +496,13 @@ class TestConcentrationReport:
         monkeypatch.setattr(cutcx.homology, "faces_by_dimension", refuse)
         with pytest.raises(CapacityError, match=f"n <= {HOMOLOGY_LIMIT}"):
             verify_concentration(4, HOMOLOGY_LIMIT + 1)
+
+    def test_capacity_refused_before_the_closed_form(self):
+        # beta_closed(7000, 30000) alone takes about 3 s of CPU (2-vCPU VM, Python 3.11).
+        start = time.process_time()
+        with pytest.raises(CapacityError, match=f"n <= {HOMOLOGY_LIMIT}"):
+            verify_concentration(7000, 30000)
+        assert time.process_time() - start < 0.5
 
 
 def uncleared_betti(matrices: list[BoundaryMatrix], p: int) -> list[int]:

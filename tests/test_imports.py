@@ -2,12 +2,16 @@
 
 The closed formulas in `formulas.py` must not import the face-scan or
 homology oracles that check them, only `polynomials.py` may touch a
-polynomial's integer numerators and common denominator, and no module
-imports a name it never reads but the benchmark tracer's shims.  The tests
-read each module with `ast`, so they hold without importing anything.
+polynomial's integer numerators and common denominator, no module imports
+a name it never reads but the benchmark tracer's shims, and none imports
+`dataclasses`.  These tests read each module with `ast`, so they hold
+without importing anything.  One more starts a fresh interpreter and pins
+what importing the CLI loads: start-up is most of a short command's time.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cutcx"
@@ -80,3 +84,26 @@ def unused_imports(path: Path) -> set[str]:
 def test_no_module_imports_a_name_it_never_uses():
     unused = {(path.stem, name) for path in SRC.glob("*.py") if path.name != "__init__.py" for name in unused_imports(path)}
     assert unused <= TRACER_SHIMS, sorted(unused - TRACER_SHIMS)
+
+
+def test_no_module_imports_dataclasses():
+    # The records are NamedTuples: dataclasses pulls in inspect, and each decorator runs exec.
+    for path in sorted(SRC.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.partition(".")[0])
+        assert "dataclasses" not in imported, path.name
+
+
+def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages' .pth hooks out, so only cutcx and the standard library load.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cutcx.cli; cutcx.cli.build_parser(); "
+        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "\n"

@@ -165,8 +165,8 @@ class TestRationalGenFun:
         assert g.series(9) == reduced.series(9)
 
     def test_pole_order_validation(self):
-        with pytest.raises(ValueError):
-            RationalGenFun(Polynomial([1]), -1)
+        with pytest.raises(ValueError, match="^pole order must be nonnegative$"):
+            RationalGenFun(Polynomial([1]), pole_order=-1)
 
     @given(st.lists(rationals, max_size=5), st.integers(0, 4))
     @settings(max_examples=60)
