@@ -8,7 +8,8 @@ exceeded.
 
 Each handler computes its result and returns (exit code, view).  A view
 maps each format to a thunk building that format's value: a JSON-ready
-object, CSV rows, or the text payload without its last newline.
+object, CSV rows, or the text payload without its last newline.  This
+module alone decides how a payload looks; the library returns values.
 
 The parser is built once per process and reused by every main(argv) call:
 parse_args leaves the parser unchanged and returns a fresh namespace, and
@@ -79,12 +80,33 @@ def _parse_primes(raw: str) -> tuple[int, ...]:
 # -- enum kinds: one view builder per payload shape --------------------------
 
 
+def _poly_text(poly, var: str) -> str:
+    """Integer polynomial in the form '1 + 7x + 18x^2 - 15x^3', ascending degree."""
+    if poly.is_zero:
+        return "0"
+    parts: list[str] = []
+    for d, c in enumerate(poly.coeffs):
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        if d == 0:
+            body = str(mag)
+        else:
+            xpart = var if d == 1 else f"{var}^{d}"
+            body = xpart if mag == 1 else f"{mag}{xpart}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
 def _poly_view(poly, var: str) -> View:
     coeffs = poly.coeff_list()
     return {
-        "json": lambda: {"coefficients": coeffs, "text": poly.text(var)},
+        "json": lambda: {"coefficients": coeffs, "text": _poly_text(poly, var)},
         "csv": lambda: [["degree", "coefficient"], *enumerate(coeffs)],
-        "text": lambda: poly.text(var),
+        "text": lambda: _poly_text(poly, var),
     }
 
 
@@ -99,7 +121,11 @@ def _genfun_view(gf, var: str) -> View:
             ["pole_order", "", gf.pole_order],
             *(["series_head", d, v] for d, v in enumerate(series)),
         ],
-        "text": lambda: gf.text(var) + "\nseries_head=" + " ".join(map(str, series)),
+        "text": lambda: "\n".join([
+            f"numerator={_poly_text(gf.numerator, var)}",
+            f"pole_order={gf.pole_order}",
+            "series_head=" + " ".join(map(str, series)),
+        ]),
     }
 
 
@@ -111,15 +137,27 @@ def _layers_view(layers) -> View:
             *(["r-1", "", " ".join(map(str, s))] for s in layers.level_rminus1),
             *(["r", j, " ".join(map(str, s))] for j, group in enumerate(layers.level_r_by_j) for s in group),
         ],
-        "text": layers.to_text,
+        "text": lambda: "\n".join([
+            f"k={layers.k} n={layers.n} r={layers.r}",
+            *(f"level=r-1 set={','.join(map(str, s))}" for s in layers.level_rminus1),
+            *(f"level=r j={j} set={','.join(map(str, s))}"
+              for j, group in enumerate(layers.level_r_by_j) for s in group),
+        ]),
     }
+
+
+def _profile_text(profile) -> str:
+    return "\n".join([
+        f"k={profile.k} n={profile.n}",
+        *(f"m={m} q={profile.counts[m]}" for m in range(profile.k, profile.n + 1)),
+    ])
 
 
 def _profile_view(profile) -> View:
     return {
         "json": lambda: {"counts": [{"m": m, "q": q} for m, q in sorted(profile.counts.items())]},
         "csv": lambda: [["m", "q"], *sorted(profile.counts.items())],
-        "text": profile.to_text,
+        "text": lambda: _profile_text(profile),
     }
 
 
@@ -174,6 +212,18 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, View]:
     def rows() -> list[list[int]]:
         return [[r, *(table.value(k, r) for k in table.k_values)] for r in table.r_values]
 
+    def csv_rows() -> list[list]:
+        return [["r\\k", *table.k_values], *rows()]
+
+    def grid() -> str:
+        """The CSV's cells aligned: the r column to the left, each k column to the right."""
+        text = [list(map(str, row)) for row in csv_rows()]
+        widths = [max(map(len, column)) for column in zip(*text)]
+        return "\n".join(
+            row[0].ljust(widths[0]) + "".join("  " + c.rjust(w) for c, w in zip(row[1:], widths[1:]))
+            for row in text
+        )
+
     return EXIT_OK, {
         "json": lambda: {
             "command": "table",
@@ -182,8 +232,8 @@ def cmd_table(args: argparse.Namespace) -> tuple[int, View]:
             "r_values": table.r_values,
             "rows": [{"r": r, "values": values} for r, *values in rows()],
         },
-        "csv": lambda: [["r\\k", *table.k_values], *rows()],
-        "text": table.to_text_grid,
+        "csv": csv_rows,
+        "text": grid,
     }
 
 
@@ -255,7 +305,14 @@ def cmd_graph(args: argparse.Namespace) -> tuple[int, View]:
             *(["f_vector", p, c] for p, c in enumerate(fv.counts or ())),
             *(["profile", m, q] for m, q in sorted(profile.counts.items())),
         ],
-        "text": lambda: f"[f_vector]\n{fv.to_text()}\n[profile]\n{profile.to_text()}",
+        "text": lambda: "\n".join([
+            "[f_vector]",
+            f"k={fv.k} n={fv.n}",
+            f"void={'true' if fv.is_void else 'false'}",
+            *(f"p={p} f={c}" for p, c in enumerate(fv.counts or ())),
+            "[profile]",
+            _profile_text(profile),
+        ]),
     }
 
 

@@ -54,11 +54,6 @@ class BadProfile(NamedTuple):
             raise ValueError(f"size {m} outside {self.k}..{self.n}")
         return self.counts[m]
 
-    def to_text(self) -> str:
-        lines = [f"k={self.k} n={self.n}"]
-        lines += [f"m={m} q={self.counts[m]}" for m in range(self.k, self.n + 1)]
-        return "\n".join(lines)
-
 
 def is_bad(graph: Graph, k: int, subset: Iterable[int]) -> bool:
     """True when every k-subset of the given set induces a connected subgraph."""

@@ -54,12 +54,6 @@ class FVector(NamedTuple):
         counts = tuple(comb(n, p) - profile.q(n - p) for p in range(n - k + 1))
         return cls(k=k, n=n, counts=counts if any(counts) else None)
 
-    def to_text(self) -> str:
-        lines = [f"k={self.k} n={self.n}", f"void={'true' if self.is_void else 'false'}"]
-        if self.counts is not None:
-            lines += [f"p={p} f={c}" for p, c in enumerate(self.counts)]
-        return "\n".join(lines)
-
 
 class NonfaceLayers(NamedTuple):
     """Minimal nonface families of the squared-path k-cut complex.
@@ -78,15 +72,6 @@ class NonfaceLayers(NamedTuple):
     @property
     def r(self) -> int:
         return self.n - self.k
-
-    def to_text(self) -> str:
-        lines = [f"k={self.k} n={self.n} r={self.r}"]
-        for s in self.level_rminus1:
-            lines.append(f"level=r-1 set={','.join(map(str, s))}")
-        for j, group in enumerate(self.level_r_by_j):
-            for s in group:
-                lines.append(f"level=r j={j} set={','.join(map(str, s))}")
-        return "\n".join(lines)
 
 
 def disconnected_k_sets(graph: Graph, k: int) -> list[tuple[int, ...]]:

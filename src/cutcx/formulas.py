@@ -237,18 +237,3 @@ class BettiTable(_BettiTableFields):
     def from_closed(k_values, r_values) -> "BettiTable":
         entries = {(k, r): beta_closed(k, k + r) for k in k_values for r in r_values}
         return BettiTable(entries=entries)
-
-    def to_text_grid(self) -> str:
-        """Aligned text grid, rows by r, columns by k; byte-stable for fixed entries."""
-        ks, rs = self.k_values, self.r_values
-        head = "r\\k"
-        w0 = max(len(head), *(len(str(r)) for r in rs))
-        widths = [
-            max(len(str(k)), *(len(str(self.entries[(k, r)])) for r in rs)) for k in ks
-        ]
-        lines = [head.ljust(w0) + "".join("  " + str(k).rjust(w) for k, w in zip(ks, widths))]
-        for r in rs:
-            row = str(r).ljust(w0)
-            row += "".join("  " + str(self.entries[(k, r)]).rjust(w) for k, w in zip(ks, widths))
-            lines.append(row)
-        return "\n".join(lines)

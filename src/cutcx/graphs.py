@@ -9,7 +9,9 @@ from __future__ import annotations
 from operator import contains
 from typing import Iterable
 
-# Exhaustive powerset-style enumerations are refused above this vertex count.
+# Exhaustive scans over subsets of 1..n are refused above this vertex count:
+# the bad-set profile, the face listing, the disconnected k-set scan and the
+# 'n' header of a graph file read for one of them; verify's n_max is capped too.
 FULL_SCAN_LIMIT = 24
 
 

@@ -89,6 +89,10 @@ class Polynomial:
             return self.coeffs[d]
         return 0
 
+    def coeff_list(self) -> list[Scalar]:
+        """Coefficients lowest degree first (trailing zeros trimmed)."""
+        return list(self.coeffs)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -158,37 +162,6 @@ class Polynomial:
             return acc // den
         return _norm(Fraction(acc, den))
 
-    # -- rendering ---------------------------------------------------------
-
-    def coeff_list(self) -> list[Scalar]:
-        """Coefficients lowest degree first (trailing zeros trimmed)."""
-        return list(self.coeffs)
-
-    def text(self, var: str = "x") -> str:
-        """Human form like '1 + 7x + 18x^2 - 15x^3', ascending degree."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = -c if c < 0 else c
-            if d == 0:
-                body = str(mag)
-            else:
-                xpart = var if d == 1 else f"{var}^{d}"
-                if mag == 1:
-                    body = xpart
-                elif isinstance(mag, Fraction):
-                    body = f"({mag}){xpart}"
-                else:
-                    body = f"{mag}{xpart}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
 
 def backward_difference(p: Polynomial, s: int = 1) -> Polynomial:
     """s-fold backward difference: one step maps p(x) to p(x) - p(x-1), in integer numerators."""
@@ -235,6 +208,3 @@ class RationalGenFun(_RationalGenFunFields):
         # 1/(1-x)^r = sum_m C(m+r-1, r-1) x^m, so term d sums c_i C(d-i+r-1, r-1) over i <= d
         return [_norm(sum(map(mul, num[:d + 1], map(comb, range(d + r - 1, r - 2, -1), repeat(r - 1)))))
                 for d in range(count)]
-
-    def text(self, var: str = "x") -> str:
-        return f"numerator={self.numerator.text(var)}\npole_order={self.pole_order}"

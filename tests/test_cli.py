@@ -69,7 +69,8 @@ def pretty(payload) -> str:
 PROFILE_CHECKS = [f"profile k={k} n={n}" for n in range(4, 7) for k in range(2, n - 1)]
 
 # (argv, exact stdout) for every payload shape: JSON and CSV of each enum
-# kind, the table, a verify run and a graph scan (non-void and void).
+# kind, the table, a verify run and a graph scan (non-void and void), and
+# the text payloads no other test pins byte for byte.
 BYTE_GOLDENS = [
     (("enum", "faceenum", "4", "7", "--format", "json"),
      '{\n  "coefficients": [\n    1,\n    7,\n    18,\n    15\n  ],\n  "command": "enum",\n'
@@ -103,6 +104,10 @@ BYTE_GOLDENS = [
     (("enum", "layers", "2", "5", "--format", "csv"),
      "level,j,set\nr-1,,4 5\nr-1,,1 5\nr-1,,1 2\nr,0,1 2 3\nr,0,1 2 5\nr,0,1 4 5\n"
      "r,0,3 4 5\nr,1,1 2 4\nr,1,1 3 5\nr,1,2 4 5\n"),
+    (("enum", "layers", "2", "5"),
+     "k=2 n=5 r=3\nlevel=r-1 set=4,5\nlevel=r-1 set=1,5\nlevel=r-1 set=1,2\n"
+     "level=r j=0 set=1,2,3\nlevel=r j=0 set=1,2,5\nlevel=r j=0 set=1,4,5\nlevel=r j=0 set=3,4,5\n"
+     "level=r j=1 set=1,2,4\nlevel=r j=1 set=1,3,5\nlevel=r j=1 set=2,4,5\n"),
     (("enum", "profile", "4", "7", "--format", "json"),
      pretty({"command": "enum", "kind": "profile", "k": 4, "n": 7,
              "counts": [{"m": 4, "q": 20}, {"m": 5, "q": 3}, {"m": 6, "q": 0}, {"m": 7, "q": 0}]})),
@@ -123,6 +128,9 @@ BYTE_GOLDENS = [
              "passed": 6, "failed": 0})),
     (("verify", "--scope", "profile", "--n-max", "6", "--format", "csv"),
      "name,ok,detail\n" + "".join(f"{name},pass,\n" for name in PROFILE_CHECKS)),
+    (("verify", "--scope", "profile", "--n-max", "6"),
+     "".join(f"PASS {name}\n" for name in PROFILE_CHECKS)
+     + "checks=6 passed=6 failed=0 scope=profile n_max=6 primes=2,3\n"),
     (("graph", "P7_SQUARED", "--k", "4", "--format", "json"),
      pretty({"command": "graph", "n": 7, "k": 4, "edge_count": 11,
              "f_vector": {"void": False, "counts": [1, 7, 18, 15]},
@@ -246,6 +254,14 @@ class TestEnum:
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert payload["level_rminus1"] == [[6, 7], [1, 7], [1, 2]]
         assert [len(g) for g in payload["level_r_by_j"]] == [4, 9, 6, 1]
+
+    def test_polynomial_notation(self):
+        # Case by case, a leading minus and the zero polynomial among them; no enum golden prints those two.
+        assert cutcx.cli._poly_text(Polynomial([1, 7, 18, 15]), "x") == "1 + 7x + 18x^2 + 15x^3"
+        assert cutcx.cli._poly_text(Polynomial([0, 0, 0, 3, -1]), "x") == "3x^3 - x^4"
+        assert cutcx.cli._poly_text(Polynomial([0, 0, 0, 1]), "x") == "x^3"
+        assert cutcx.cli._poly_text(Polynomial([-1, 1]), "t") == "-1 + t"
+        assert cutcx.cli._poly_text(Polynomial([]), "x") == "0"
 
     def test_genfun_json(self, capsys):
         _, out, _ = run(capsys, "enum", "genfun", "5", "--no-timing", "--format", "json")

@@ -126,12 +126,11 @@ class TestProfiles:
         with pytest.raises(ValueError):
             q_profile_closed(1, 6)
 
-    def test_profile_accessor_and_text(self):
+    def test_profile_accessor(self):
         prof = q_profile_closed(4, 7)
         assert prof.q(4) == 20
         with pytest.raises(ValueError):
             prof.q(3)
-        assert prof.to_text() == "k=4 n=7\nm=4 q=20\nm=5 q=3\nm=6 q=0\nm=7 q=0"
 
 
 def profile_by_definition(g, k):

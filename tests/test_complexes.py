@@ -103,11 +103,10 @@ class TestFVector:
         assert fv.counts == (1,)
         assert reduced_euler(fv) == -1
 
-    def test_accessors_and_text(self):
+    def test_accessors(self):
         fv = f_vector_bruteforce(squared_path(7), 4)
         assert fv.f(0) == 1 and fv.f(3) == 15 and fv.f(9) == 0
         assert fv.max_cardinality == 3
-        assert fv.to_text() == "k=4 n=7\nvoid=false\np=0 f=1\np=1 f=7\np=2 f=18\np=3 f=15"
 
 
 class TestClosedEnumerator:
@@ -191,12 +190,6 @@ class TestNonfaceLayers:
                 }
                 assert set(layers.level_rminus1) == nf_rm1, (k, n)
                 assert {s for g in layers.level_r_by_j for s in g} == nf_r, (k, n)
-
-    def test_text_form(self):
-        text = nonface_layers(4, 7).to_text()
-        assert text.splitlines()[0] == "k=4 n=7 r=3"
-        assert "level=r-1 set=6,7" in text
-        assert "level=r j=3 set=2,4,6" in text
 
 
 class TestFacesByDimension:

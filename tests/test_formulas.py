@@ -428,10 +428,6 @@ class TestBettiTable:
         assert table.k_values == list(range(3, 11))
         assert table.r_values == list(range(3, 7))
 
-    def test_grid_rendering_stable(self):
-        grid = BettiTable.from_closed(range(3, 5), range(3, 5)).to_text_grid()
-        assert grid == "r\\k  3   4\n3    1   3\n4    3  11"
-
     def test_validation(self):
         with pytest.raises(RuntimeError, match="^internal error: negative entry at k=3, r=3$"):
             BettiTable(entries={(3, 3): -1})

@@ -3,18 +3,24 @@
 The closed formulas in `formulas.py` must not import the face-scan or
 homology oracles that check them, only `polynomials.py` may touch a
 polynomial's integer numerators and common denominator, no module imports
-a name it never reads but the benchmark tracer's shims, and none imports
-`dataclasses`.  These tests read each module with `ast`, so they hold
-without importing anything.  One more starts a fresh interpreter and pins
-what importing the CLI loads: start-up is most of a short command's time.
+a name it never reads but the benchmark tracer's shims, none imports
+`dataclasses`, and only `cli.py` renders text.  These tests read each
+module with `ast`, so they hold without importing anything.  One more
+starts a fresh interpreter and pins what importing the CLI loads: start-up
+is most of a short command's time.  The last imports the benchmark tracer
+and checks that every binding it wraps still exists.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cutcx"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cutcx"
 
 
 def imported_modules(module: str) -> set[str]:
@@ -107,3 +113,31 @@ def test_cli_start_up_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "\n"
+
+
+def test_only_the_cli_renders_text():
+    # Each payload's text layout sits in cli.py beside its JSON and CSV forms; the records hold values.
+    renderers = {"text", "to_text", "to_text_grid"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        named = {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        assert named & renderers == set(), path.name
+
+
+def test_every_binding_the_benchmark_tracer_wraps_exists():
+    # Tracer.install reads a class's own __dict__ and a module's attribute; a missing one fails only the benchmark.
+    path = ROOT / "bench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("benchmark sources not present")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    bindings = [binding for _, _, spans in tracer.WRAPPED for binding in spans]
+    assert bindings
+    missing = [
+        (owner.__name__, attr) for owner, attr in bindings
+        if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))
+    ]
+    assert missing == []

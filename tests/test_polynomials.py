@@ -140,15 +140,6 @@ class TestBackwardDifference:
         assert backward_difference(p, m + 1).is_zero
 
 
-class TestRendering:
-    def test_text_forms(self):
-        assert Polynomial([1, 7, 18, 15]).text("x") == "1 + 7x + 18x^2 + 15x^3"
-        assert Polynomial([0, 0, 0, 3, -1]).text("x") == "3x^3 - x^4"
-        assert Polynomial([0, 0, 0, 1]).text("x") == "x^3"
-        assert Polynomial([-1, 1]).text("t") == "-1 + t"
-        assert Polynomial([]).text() == "0"
-
-
 class TestRationalGenFun:
     def test_series_of_basic_pole(self):
         g = RationalGenFun(Polynomial([1]), 2)
