@@ -1,24 +1,28 @@
 """Simplicial homology for small complexes, by boundary ranks.
 
-The chain complex is augmented: the empty face is the single generator in
-dimension -1, so Betti numbers are reduced.  Ranks are computed exactly in
-two ways.  Over the integers, a bit-packed column reduction admits only
-pivots of +1 or -1; when it finishes, every image is a saturated lattice,
-so the homology has no torsion and its ranks are the Betti numbers over
-every field.  Over GF(p), for any prime, sparse column reduction mod p
-always finishes.  One driver runs either reduction top-down with clearing
-(Chen-Kerber's twist): a column of the d-th boundary whose face is a pivot
-row of the reduced (d+1)-th boundary is skipped, since boundary composition
-vanishing makes it a combination of earlier columns, an integer one when
-that pivot is a unit.  Boundary composition is checked over the integers,
-which forces it over every field.
+The chains are those of the complex relative to the closed star of its
+least vertex: the faces outside that star.  The star is a cone, so the
+relative homology is the reduced homology of the complex, over the
+integers with torsion included and over every field (Hatcher, Algebraic
+Topology, 2002, section 2.1: the long exact sequence of the pair).
+Ranks are computed exactly in two ways.  Over the integers, a
+bit-packed column reduction admits only pivots of +1 or -1; when it
+finishes, every image is a saturated lattice, so the homology has no
+torsion and its ranks are the Betti numbers over every field.  Over
+GF(p), for any prime, sparse column reduction mod p always finishes.  One
+driver runs either reduction top-down with clearing (Chen-Kerber's twist):
+a column of the d-th boundary whose face is a pivot row of the reduced
+(d+1)-th boundary is skipped, since boundary composition vanishing makes
+it a combination of earlier columns, an integer one when that pivot is a
+unit.  Boundary composition is checked over the integers, which forces it
+over every field.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, count, cycle, repeat
-from operator import getitem, lt
+from itertools import chain, combinations, count, repeat
+from operator import lt
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 from .complexes import faces_by_dimension
@@ -28,11 +32,12 @@ from .graphs import CapacityError, squared_path
 MAX_PRIME = 1 << 16
 
 # Largest n whose squared-path homology checks run within budget: every k
-# at n = 18 takes 35-43 s of CPU (n = 17 12-17 s; two runs, 2-vCPU VM,
+# at n = 18 takes 4.6-5.4 s of CPU (n = 17 2.0-2.4 s; two runs, 2-vCPU VM,
 # Python 3.11) for any list of primes, since the integer certificate decides
-# every one of these complexes, and each further vertex costs about 3 times
-# more.  A run at n = 18 peaks near 330 MB, against 140 MB over GF(p)
-# alone, as each integer pivot is a dense bitmask as wide as its largest row.
+# every one of these complexes, and each further vertex costs about 2.3
+# times more.  Relative to the star only a few faces are chains, so the
+# chain build, which still validates every face and looks up every
+# subface, takes 84% of that time, and a run to n = 18 peaks near 59 MB.
 HOMOLOGY_LIMIT = 18
 
 
@@ -147,9 +152,11 @@ def _unit_pivot_rows(columns: Iterable[Collection[tuple[int, int]]]) -> set[int]
 class BoundaryMatrix(NamedTuple):
     """Signed boundary map from dimension dim to dim-1, stored by column.
 
-    Each column lists (row index, sign) pairs; a column for a d-face has
-    exactly d+1 entries.  Row indices point into the (dim-1)-face list,
-    with the empty face as the single row of the dimension-0 matrix.
+    Each column lists (row index, sign) pairs, one for each subface outside
+    the star that build_chain_complex works relative to, so a column for a
+    d-face has at most d+1 entries and may have none.  Row indices point
+    into the list of (dim-1)-faces outside the star.  The dimension-0
+    matrix has no rows, since the empty face lies in the star.
     """
 
     dim: int
@@ -163,45 +170,68 @@ class BoundaryMatrix(NamedTuple):
 
 
 def build_chain_complex(faces_by_dim: Sequence[Sequence[tuple[int, ...]]]) -> list[BoundaryMatrix]:
-    """Boundary matrices of the augmented complex from faces grouped by dimension.
+    """Boundary matrices of the complex relative to the closed star of its least vertex.
 
     faces_by_dim[d] lists the d-dimensional faces (cardinality d+1) as
-    strictly increasing vertex tuples; the empty face is implicit, the one
-    (-1)-face below the vertices.  Input must be downward closed; a missing
-    subface is reported as the witness.
+    strictly increasing vertex tuples.  Input must be downward closed; a
+    missing subface is reported as the witness.  Every face is validated
+    and every subface looked up, whether or not it is kept.
+
+    The closed star st(v) of the least vertex v is a cone, so
+    H_i(Delta, st v) is the reduced homology of Delta over the integers,
+    torsion included (Hatcher, Algebraic Topology, 2002, section 2.1: the
+    long exact sequence of the pair).  The relative chains are the faces
+    outside the star: those t with v not in t and (v,) + t, their union
+    with v, not a face.  The empty face lies in the star, so the
+    dimension-0 matrix has no rows.  There is one matrix per dimension of
+    Delta, possibly with no columns.
 
     A d-face's subfaces are looked up in the order combinations() lists
     them, which leaves out the last vertex first: the j-th one leaves out
-    position d-j and gets the sign (-1)^(d-j).
+    position d-j and gets the sign (-1)^(d-j).  A column lists only the
+    subfaces outside the star, in that order.
     """
-    layers = list(faces_by_dim)
+    layers = [list(map(tuple, layer)) for layer in faces_by_dim]
     while layers and not layers[-1]:
         layers.pop()
     matrices: list[BoundaryMatrix] = []
-    below: dict[tuple[int, ...], int] = {(): 0}
-    for d, layer in enumerate(layers):
-        faces = list(map(tuple, layer))
+    below: set[tuple[int, ...]] = {()}  # every face one dimension down
+    here = set(layers[0]) if layers else set()
+    rows: dict[tuple[int, ...], int] = {}  # the faces one dimension down outside the star, by row
+    for d, faces in enumerate(layers):
         if not faces:
             raise ValueError(f"dimension {d} is empty below a populated dimension")
-        for t in faces:
-            if len(t) != d + 1 or not all(map(lt, t, t[1:])):
-                raise ValueError(f"dimension {d} face {t!r} is not a strictly increasing {d + 1}-tuple")
-        rows = list(map(below.get, chain.from_iterable(map(combinations, faces, repeat(d)))))
-        if None in rows:
-            i, j = divmod(rows.index(None), d + 1)
-            f, pos = faces[i], d - j
-            raise ValueError(f"not downward closed: face {f} present but subface {f[:pos] + f[pos + 1 :]} missing")
-        # One (row, sign) pair object per row and sign, shared by every
-        # column holding it; zip(*[it] * m) deals them out in columns of m.
-        signed = {sign: [(row, sign) for row in range(len(below))] for sign in (1, -1)}
-        pairs = map(getitem, cycle([signed[(-1) ** (d - j)] for j in range(d + 1)]), rows)
-        columns = tuple(zip(*[pairs] * (d + 1)))
-        matrices.append(BoundaryMatrix(dim=d, nrows=len(below), ncols=len(faces), columns=columns))
-        # This layer's index serves as the rows of the next boundary, so at most two are alive.
-        below = dict(zip(faces, count()))
-        if len(below) != len(faces):
+        if not _increasing(faces, d + 1):
+            t = next(t for t in faces if not _increasing([t], d + 1))
+            raise ValueError(f"dimension {d} face {t!r} is not a strictly increasing {d + 1}-tuple")
+        if not below.issuperset(chain.from_iterable(map(combinations, faces, repeat(d)))):
+            f = next(f for f in faces if not below.issuperset(combinations(f, d)))
+            sub = next(sub for sub in combinations(f, d) if sub not in below)
+            raise ValueError(f"not downward closed: face {f} present but subface {sub} missing")
+        if len(here) != len(faces):
             raise ValueError(f"duplicate faces in dimension {d}")
+        if d == 0:
+            cone = min(faces)
+        above = set(layers[d + 1]) if d + 1 < len(layers) else set()
+        # cone is (v,), v the least vertex: cone + t is the union of t and v, sorted, when t lacks v.
+        kept = [t for t in faces if t[0] != cone[0] and cone + t not in above]
+        signs = [(-1) ** (d - j) for j in range(d + 1)]
+        columns = tuple(
+            tuple((row, sign) for row, sign in zip(map(rows.get, combinations(t, d)), signs) if row is not None)
+            for t in kept
+        )
+        matrices.append(BoundaryMatrix(dim=d, nrows=len(rows), ncols=len(kept), columns=columns))
+        rows = dict(zip(kept, count()))
+        below, here = here, above
     return matrices
+
+
+def _increasing(faces: Sequence[tuple[int, ...]], m: int) -> bool:
+    """Whether every face is a strictly increasing m-tuple, checked position by position across the layer, in C."""
+    if set(map(len, faces)) != {m}:
+        return False
+    positions = list(zip(*faces))
+    return all(all(map(lt, a, b)) for a, b in zip(positions, positions[1:]))
 
 
 def composition_vanishes(matrices: Sequence[BoundaryMatrix]) -> bool:

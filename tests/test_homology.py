@@ -202,10 +202,11 @@ BUILD_FAULTS = [
 
 class TestChainComplexBuild:
     def test_single_point(self):
+        # The point is the cone vertex, so its star is the whole complex: one matrix, no rows, no columns.
         matrices = build_chain_complex([[(1,)]])
         assert len(matrices) == 1
-        assert matrices[0].nrows == 1 and matrices[0].ncols == 1
-        assert matrices[0].columns == (((0, 1),),)
+        assert matrices[0].nrows == 0 and matrices[0].ncols == 0
+        assert matrices[0].columns == ()
         assert betti_numbers(matrices, 2) == [0]
 
     def test_hollow_triangle(self):
@@ -269,28 +270,39 @@ class TestChainComplexBuild:
         assert str(exc.value) == text
 
     @pytest.mark.parametrize("name", FAULT_COMPLEXES)
-    def test_empty_face_is_the_one_row_below_the_vertices(self, name):
-        vertices = build_chain_complex(FAULT_COMPLEXES[name])[0]
-        assert vertices.nrows == 1
-        assert vertices.columns == (((0, 1),),) * vertices.ncols
+    def test_dimension_0_has_no_rows(self, name):
+        # The empty face lies in the star; the kept vertices are those not joined to the cone vertex.
+        faces = FAULT_COMPLEXES[name]
+        vertices = build_chain_complex(faces)[0]
+        assert vertices.nrows == 0
+        assert vertices.ncols == len(reference_columns(faces)[0][1]) == {"P6^2 k=3": 2, "tetrahedron boundary": 0}[name]
+        assert vertices.columns == ((),) * vertices.ncols
 
     def test_column_entry_counts(self):
-        for m in complex_for(4, 7):
-            for col in m.columns:
-                assert len(col) == m.dim + 1
+        # A column lists the subfaces outside the star: d+1 less those in it, none when all are.
+        faces = faces_by_dimension(squared_path(7), 4)
+        star = set(cone_star(faces))
+        lengths = set()
+        for m in build_chain_complex(faces):
+            kept = [t for t in faces[m.dim] if t not in star]
+            for t, col in zip(kept, m.columns, strict=True):
+                outside = sum(t[:pos] + t[pos + 1 :] not in star for pos in range(m.dim + 1))
+                assert len(col) == outside <= m.dim + 1, (m.dim, t)
+                lengths.add((m.dim, len(col)))
+        assert lengths == {(0, 0), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)}
 
     def test_columns_match_slicing_reference_on_squared_paths(self):
         for n in range(2, 11):
             for k in range(2, n + 1):
                 faces = faces_by_dimension(squared_path(n), k)
-                assert sorted_columns(build_chain_complex(faces)) == reference_columns(faces), (k, n)
+                assert relative_columns(build_chain_complex(faces)) == reference_columns(faces), (k, n)
 
     def test_columns_match_slicing_reference_on_random_complexes(self):
         rng = random.Random(20261019)
         for _ in range(60):
             n = rng.randint(1, 8)
             faces = random_complex(rng, n)
-            assert sorted_columns(build_chain_complex(faces)) == reference_columns(faces), faces
+            assert relative_columns(build_chain_complex(faces)) == reference_columns(faces), faces
 
 
 def random_complex(rng: random.Random, n: int) -> list[list[tuple[int, ...]]]:
@@ -300,21 +312,35 @@ def random_complex(rng: random.Random, n: int) -> list[list[tuple[int, ...]]]:
     return [sorted(f for f in faces if len(f) == d + 1) for d in range(max(map(len, facets)))]
 
 
-def reference_columns(faces_by_dim: list[list[tuple[int, ...]]]) -> list[list[list[tuple[int, int]]]]:
-    """Sorted boundary columns: the face without its vertex at position pos, signed (-1)^pos."""
+def cone_star(faces_by_dim: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The faces of the closed star of the least vertex v: those whose union with v is a face, the empty one included."""
+    faces = {()} | {f for layer in faces_by_dim for f in layer}
+    v = min(faces_by_dim[0])[0] if faces_by_dim and faces_by_dim[0] else None
+    return sorted(f for f in faces if tuple(sorted(set(f) | {v})) in faces)
+
+
+def reference_columns(faces_by_dim: list[list[tuple[int, ...]]]) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+    """(rows, sorted columns) per dimension of the complex relative to the star of its least vertex.
+
+    A kept face is one outside the star; its column holds each kept
+    subface, the face without its vertex at position pos, signed (-1)^pos,
+    at that subface's place among the kept faces one dimension down.
+    """
+    star = set(cone_star(faces_by_dim))
+    kept = [[f for f in layer if f not in star] for layer in faces_by_dim]
     out = []
-    for d, layer in enumerate(faces_by_dim):
-        if d == 0:
-            out.append([[(0, 1)] for _ in layer])
-            continue
-        index = {f: i for i, f in enumerate(faces_by_dim[d - 1])}
-        out.append([sorted((index[f[:pos] + f[pos + 1 :]], (-1) ** pos) for pos in range(d + 1)) for f in layer])
+    for d, layer in enumerate(kept):
+        index = {f: i for i, f in enumerate(kept[d - 1])} if d else {}
+        subfaces = [[(f[:pos] + f[pos + 1 :], (-1) ** pos) for pos in range(d + 1)] for f in layer]
+        out.append((len(index), [sorted((index[g], sign) for g, sign in sub if g in index) for sub in subfaces]))
+    while out and not faces_by_dim[len(out) - 1]:
+        out.pop()
     return out
 
 
-def sorted_columns(matrices: list[BoundaryMatrix]) -> list[list[list[tuple[int, int]]]]:
-    """Each column's (row, sign) pairs, sorted, so the order within a column does not count."""
-    return [[sorted(col) for col in m.columns] for m in matrices]
+def relative_columns(matrices: list[BoundaryMatrix]) -> list[tuple[int, list[list[tuple[int, int]]]]]:
+    """Each matrix's row count and its columns' (row, sign) pairs, sorted, so the order within a column does not count."""
+    return [(m.nrows, [sorted(col) for col in m.columns]) for m in matrices]
 
 
 class TestComposition:
@@ -334,7 +360,7 @@ class TestComposition:
         matrices = complex_for(3, 7)
         d2 = matrices[2]
         assert composition_vanishes(matrices)
-        for j in (0, d2.ncols // 2, d2.ncols - 1):
+        for j in range(d2.ncols):
             for e in range(len(d2.columns[j])):
                 col = list(d2.columns[j])
                 row, sign = col[e]
@@ -350,7 +376,10 @@ class TestComposition:
         matrices = complex_for(3, 6)
         low, high = matrices[1], matrices[2]
         doubled = high._replace(columns=tuple(tuple((i, 2 * s) for i, s in col) for col in high.columns))
-        repeated = low._replace(columns=tuple(((i, 2 * s), (i, -s), *rest) for (i, s), *rest in low.columns))
+        # A column whose subfaces all lie in the star is empty and stays so.
+        repeated = low._replace(
+            columns=tuple(((col[0][0], 2 * col[0][1]), (col[0][0], -col[0][1]), *col[1:]) if col else col for col in low.columns)
+        )
         zeroed = high._replace(columns=tuple((*col, (col[0][0], 0)) for col in high.columns))
         tripled_low = low._replace(columns=tuple(tuple((i, 3 * s) for i, s in col) for col in low.columns))
         cases = [
@@ -550,6 +579,9 @@ class TestClearing:
 
         monkeypatch.setattr(cutcx.homology, "_pivot_rows", counting)
         matrices = complex_for(6, 14)
+        # Relative to the star, only dimensions 5..7 have faces.  Concentration makes the
+        # ranks 1255 - 1087 = 168 at the top and 175 - 168 = 7 below it: all of dimension 5.
+        assert [m.ncols for m in matrices] == [0] * 5 + [7, 175, 1255]
         for p in (2, 3):
             fed.clear()
             assert betti_numbers(matrices, p) == [0] * 7 + [1087]
@@ -558,7 +590,7 @@ class TestClearing:
             assert fed[-1][0] == matrices[-1].ncols
             assert all(columns == rank for columns, rank in fed[:-1]), (p, fed)
             skipped = [m.ncols - columns for m, (columns, _) in zip(matrices, fed)]
-            assert skipped[4:6] == [1287, 1716]
+            assert skipped == [0] * 5 + [7, 168, 0]
 
     def test_integer_kernel_clears_the_same_columns(self, monkeypatch):
         # The twin of the test above for the unit-pivot reduction over the integers.
@@ -579,7 +611,7 @@ class TestClearing:
         assert fed[-1][0] == matrices[-1].ncols
         assert all(columns == rank for columns, rank in fed[:-1]), fed
         skipped = [m.ncols - columns for m, (columns, _) in zip(matrices, fed)]
-        assert skipped[4:6] == [1287, 1716]
+        assert skipped == [0] * 5 + [7, 168, 0]
 
 
 # The 6-vertex real projective plane: H_1 = Z/2, so its reduced Betti numbers
@@ -725,3 +757,64 @@ class TestIntegralBetti:
         report = verify_concentration(4, 8, (2, 3))
         assert report.ok and not report.torsion_free
         assert report.betti_by_prime == {2: (0, 0, 0, 11), 3: (0, 0, 0, 11)}
+
+
+def augmented_betti(faces_by_dim: list[list[tuple[int, ...]]], p: int) -> list[int]:
+    """Reduced Betti numbers over GF(p) of the augmented complex, ranked matrix by matrix with no clearing.
+
+    Rows index the faces one dimension down in their listed order, with the
+    empty face as the one row below the vertices; a d-face's column holds
+    each subface, the face without its vertex at position pos, signed (-1)^pos.
+    """
+    ranks = []
+    for d, layer in enumerate(faces_by_dim):
+        index = {f: i for i, f in enumerate(faces_by_dim[d - 1])} if d else {(): 0}
+        ranks.append(rank_mod_p([[(index[f[:pos] + f[pos + 1 :]], (-1) ** pos) for pos in range(d + 1)] for f in layer], p))
+    ranks.append(0)
+    return [len(layer) - ranks[d] - ranks[d + 1] for d, layer in enumerate(faces_by_dim)]
+
+
+def differential_inputs() -> list[tuple[str, list[list[tuple[int, ...]]]]]:
+    """Seeded G(n, p) at every k, textbook complexes, and complexes whose least vertex is not 1."""
+    rng = random.Random(20261022)
+    cases = []
+    # Fewer graphs at n = 8..10, whose augmented complexes cost the most to rank.
+    for n, count in ((4, 40), (5, 40), (6, 40), (7, 40), (8, 20), (9, 8), (10, 4)):
+        for i in range(count):
+            density = (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5]
+            g = Graph(n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < density])
+            cases += [(f"{g} k={k}", faces_by_dimension(g, k)) for k in range(2, n + 1)]
+        for name, g in (("edgeless", Graph(n)), ("clique and a point", Graph(n, combinations(range(1, n), 2)))):
+            cases += [(f"{name} n={n} k={k}", faces_by_dimension(g, k)) for k in range(2, n - 1)]
+    for k in range(2, 9):
+        cases.append((f"P_{k + 2}^2 k={k}", faces_by_dimension(squared_path(k + 2), k)))
+    edges = sorted({e for t in RP2_TRIANGLES for e in combinations(t, 2)})
+    cases.append(("RP^2", [[(v,) for v in range(1, 7)], edges, RP2_TRIANGLES]))
+    cases += [(name, [list(layer) for layer in faces]) for name, faces in FAULT_COMPLEXES.items()]
+    cases += [("hollow triangle", [[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)]]),
+              ("solid triangle", [[(1,), (2,), (3,)], [(1, 2), (1, 3), (2, 3)], [(1, 2, 3)]])]
+    return cases
+
+
+class TestRelativeAgainstAugmented:
+    """The build relative to the cone vertex's star against the augmented complex, ranked independently."""
+
+    def test_betti_vectors_agree(self):
+        cases = differential_inputs()
+        undecided = []
+        for name, faces in cases:
+            while faces and not faces[-1]:
+                faces = faces[:-1]
+            matrices = build_chain_complex(faces)
+            over_2, over_3 = augmented_betti(faces, 2), augmented_betti(faces, 3)
+            assert betti_numbers(matrices, 2) == over_2, name
+            assert betti_numbers(matrices, 3) == over_3, name
+            integral = integral_betti(matrices)
+            if integral is None:
+                undecided.append(name)
+            else:
+                assert integral == over_2 == over_3, name
+        assert len(cases) > 1000
+        assert sum(faces[0][0] != (1,) for _, faces in cases if faces) >= 7  # the least vertex is not 1
+        # RP^2 has torsion, so no certificate can decide it; the unit pivots decide every other input.
+        assert undecided == ["RP^2"]
